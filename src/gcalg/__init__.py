@@ -5,7 +5,9 @@ c_i^N = 1 with q a primitive N-th root of unity.  This package provides
 
 * exact cyclotomic scalar arithmetic (:mod:`gcalg.cyclo`),
 * canonical normal ordering of generator words (:mod:`gcalg.symbolic`),
-* the standard action on n qudits with exact amplitudes (:mod:`gcalg.rep`),
+* the standard action on n qudits with exact amplitudes, and each
+  generator's action as an integer phased-permutation table
+  (:mod:`gcalg.rep`),
 * an executable verification suite for the defining identities
   (:mod:`gcalg.axioms`),
 * a parser/printer for a small bra-ket expression language
@@ -37,11 +39,22 @@ from .cyclo import (
     admissible_zeta_exps,
     cyclotomic_polynomial,
 )
-from .expr import EvalError, ParseError, eval_element, eval_scalar, eval_state, parse, print_canonical
+from .expr import (
+    MAX_PAREN_DEPTH,
+    EvalError,
+    ParseError,
+    eval_element,
+    eval_scalar,
+    eval_state,
+    parse,
+    print_canonical,
+)
 from .rep import (
     DENSE_CAP_DEFAULT,
     BasisIndex,
     DenseCapError,
+    NotPhasedPermutationError,
+    PhasedPermutation,
     QuditState,
     apply_element,
     apply_even,
@@ -50,8 +63,11 @@ from .rep import (
     apply_projector,
     apply_word,
     basis_indices,
+    basis_label,
     basis_state,
+    check_dense_cap,
     dense_matrix,
+    generator_table,
     ground_state,
     ordered_basis_vector,
     scalar_product,

@@ -1,10 +1,19 @@
 """Executable verification of the algebra's defining identities.
 
 Each check exercises one identity exhaustively over the basis states of a
-context and returns a :class:`CheckReport`; comparisons are exact (scalar
-zero tests), never floating point.  Operator identities are verified by
-applying operators to every basis state rather than by building dense
-matrices, which keeps the cost linear in the dimension per operator.
+context and returns a :class:`CheckReport`; comparisons are exact, never
+floating point.  Every generator sends a basis state to w^k times a basis
+state, so operator identities are checked on its table
+(:class:`gcalg.rep.PhasedPermutation`): a target position and a phase
+exponent per basis state, read off ``rep.apply_generator`` on every basis
+state.  Products, powers and adjoints of tables are integer arithmetic, and
+two operators agree iff their tables are equal.  ``run_suite`` builds the
+2n tables once per call, and only when a selected check needs them; a
+generator that is not such a table fails those checks with the offending
+basis state as counterexample.  The homomorphism check keeps a sparse
+oracle: each random word is applied letter by letter to sparse basis states
+and compared with the table of its normal form.  The ground-state and
+projector identities and the orthonormal basis act on sparse states.
 
 Checked, for every context:
 
@@ -104,90 +113,95 @@ def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
     return _passed(ctx, name)
 
 
-def _generator_columns(ctx: AlgebraContext, i: int):
-    """Monomial-matrix data of c_i: basis label -> (target label, amplitude).
+def _generator_tables(ctx: AlgebraContext):
+    """Tables of c_1 .. c_2n, or None and the first column that is not +-w^k |b>."""
+    try:
+        tables = [rep.generator_table(ctx, i) for i in range(1, ctx.num_generators + 1)]
+    except rep.NotPhasedPermutationError as exc:
+        return None, str(exc)
+    return tables, None
 
-    Returns None together with a failure description if any column is not a
-    single term (the generalized-permutation property).
-    """
-    columns: dict[rep.BasisIndex, tuple[rep.BasisIndex, CycloScalar]] = {}
-    for digits in rep.basis_indices(ctx):
-        out = rep.apply_generator(i, rep.basis_state(ctx, digits))
-        if len(out.amps) != 1:
-            return None, f"c_{i}|{digits}> has {len(out.amps)} terms, expected 1"
-        (target, amp), = out.amps.items()
-        columns[digits] = (target, amp)
-    return columns, None
+
+def _first_difference(a: rep.PhasedPermutation, b: rep.PhasedPermutation) -> int:
+    return next(
+        j for j in range(len(a.perm))
+        if a.perm[j] != b.perm[j] or a.phase[j] != b.phase[j]
+    )
 
 
 def check_unitarity(ctx: AlgebraContext) -> CheckReport:
     """Every generator c satisfies c c^dagger = c^dagger c = 1.
 
-    The conjugate transpose is read off the generator's monomial-matrix
-    structure; the check also asserts that it coincides with the (N-1)-fold
-    application of c, i.e. that the dagger inverts the generator.
+    Each generator's table must permute the basis labels with root-of-unity
+    amplitudes, so its conjugate transpose is again a table and inverts it;
+    the check also asserts that the conjugate transpose coincides with the
+    (N-1)-th power of c.
     """
+    return _check_unitarity(ctx, *_generator_tables(ctx))
+
+
+def _check_unitarity(ctx, tables, problem) -> CheckReport:
     name = "unitarity"
-    for i in range(1, ctx.num_generators + 1):
-        columns, problem = _generator_columns(ctx, i)
-        if columns is None:
-            return _failed(ctx, name, problem)
-        targets = set(t for t, _ in columns.values())
-        if len(targets) != ctx.dim:
+    if tables is None:
+        return _failed(ctx, name, problem)
+    for i, table in enumerate(tables, start=1):
+        if not table.is_bijection():
             return _failed(ctx, name, f"c_{i} does not permute the basis labels")
-        for digits, (_, amp) in columns.items():
-            sq = amp.conj() * amp
-            if not sq == 1:
-                return _failed(
-                    ctx, name,
-                    f"|amplitude|^2 of c_{i} on |{digits}> is {sq}, expected 1",
-                )
-        # dagger = inverse: the conjugate transpose must equal c^{N-1}.
-        for source, (target, amp) in columns.items():
-            inv = rep.basis_state(ctx, target)
-            for _ in range(ctx.N - 1):
-                inv = rep.apply_generator(i, inv)
-            if not inv == amp.conj() * rep.basis_state(ctx, source):
-                return _failed(
-                    ctx, name,
-                    f"c_{i}^(N-1)|{target}> = {_state_text(inv)} differs from the "
-                    f"conjugate transpose column ({amp.conj()})|{','.join(map(str, source))}>",
-                )
+        power = table ** (ctx.N - 1)
+        dagger = table.dagger()
+        if power != dagger:
+            j = _first_difference(power, dagger)
+            return _failed(
+                ctx, name,
+                f"c_{i}^(N-1)|{rep.basis_label(ctx, j)}> = {_state_text(power.column(j))} "
+                f"differs from the conjugate transpose column {_state_text(dagger.column(j))}",
+            )
     return _passed(ctx, name)
 
 
 def check_order(ctx: AlgebraContext) -> CheckReport:
     """Every generator satisfies c^N = 1 on every basis state."""
+    return _check_order(ctx, *_generator_tables(ctx))
+
+
+def _check_order(ctx, tables, problem) -> CheckReport:
     name = "order"
-    for i in range(1, ctx.num_generators + 1):
-        for digits in rep.basis_indices(ctx):
-            state = rep.basis_state(ctx, digits)
-            for _ in range(ctx.N):
-                state = rep.apply_generator(i, state)
-            if not state == rep.basis_state(ctx, digits):
-                return _failed(
-                    ctx, name,
-                    f"c_{i}^N|{digits}> = {_state_text(state)} differs from |{digits}>",
-                )
+    if tables is None:
+        return _failed(ctx, name, problem)
+    identity = rep.PhasedPermutation.identity(ctx)
+    for i, table in enumerate(tables, start=1):
+        power = table ** ctx.N
+        if power != identity:
+            j = _first_difference(power, identity)
+            label = rep.basis_label(ctx, j)
+            return _failed(
+                ctx, name,
+                f"c_{i}^N|{label}> = {_state_text(power.column(j))} differs from |{label}>",
+            )
     return _passed(ctx, name)
 
 
 def check_commutation(ctx: AlgebraContext) -> CheckReport:
     """c_i c_j = q c_j c_i for every pair i < j, on every basis state."""
+    return _check_commutation(ctx, *_generator_tables(ctx))
+
+
+def _check_commutation(ctx, tables, problem) -> CheckReport:
     name = "commutation"
-    q = ctx.q()
+    if tables is None:
+        return _failed(ctx, name, problem)
     for i in range(1, ctx.num_generators + 1):
         for j in range(i + 1, ctx.num_generators + 1):
-            for digits in rep.basis_indices(ctx):
-                start = rep.basis_state(ctx, digits)
-                lhs = rep.apply_word(Word(ctx, (i, j)), start)
-                rhs = q * rep.apply_word(Word(ctx, (j, i)), start)
-                if not lhs == rhs:
-                    return _failed(
-                        ctx, name,
-                        f"pair ({i},{j}) on |{digits}>: c_{i}c_{j} gives "
-                        f"{_state_text(lhs)} but q c_{j}c_{i} gives {_state_text(rhs)}",
-                    )
+            lhs = tables[i - 1] @ tables[j - 1]
+            rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
+            if lhs != rhs:
+                p = _first_difference(lhs, rhs)
+                return _failed(
+                    ctx, name,
+                    f"pair ({i},{j}) on |{rep.basis_label(ctx, p)}>: c_{i}c_{j} gives "
+                    f"{_state_text(lhs.column(p))} but q c_{j}c_{i} gives "
+                    f"{_state_text(rhs.column(p))}",
+                )
     return _passed(ctx, name)
 
 
@@ -228,30 +242,43 @@ def check_projector_identity(ctx: AlgebraContext) -> CheckReport:
 def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
     """The vectors c_2^{a_1} ... c_{2n}^{a_n}|0..0> form an orthonormal basis.
 
-    Builds all of them, asserts each is a single unit-modulus term, and
-    checks that the Gram matrix is exactly the identity.
+    Builds all of them and asserts each is a single unit-modulus term.  The
+    Gram entry of two such vectors is conj(amp) * amp' when they sit on the
+    same label and zero otherwise, so the Gram matrix is exactly the identity
+    iff no two vectors share a label.
     """
     name = "orthonormal_basis"
-    labels = list(rep.basis_indices(ctx))
-    vectors = []
-    for digits in labels:
+    seen: dict[rep.BasisIndex, tuple[rep.BasisIndex, CycloScalar]] = {}
+    for digits in rep.basis_indices(ctx):
         v = rep.ordered_basis_vector(ctx, digits)
         if len(v.amps) != 1:
             return _failed(ctx, name, f"basis vector {digits} has {len(v.amps)} terms")
-        (_, amp), = v.amps.items()
+        (target, amp), = v.amps.items()
         if not amp.conj() * amp == 1:
             return _failed(ctx, name, f"basis vector {digits} has non-unit amplitude {amp}")
-        vectors.append(v)
-    for r, vr in enumerate(vectors):
-        for c, vc in enumerate(vectors):
-            got = rep.scalar_product(vr, vc)
-            want = 1 if r == c else 0
-            if not got == want:
-                return _failed(
-                    ctx, name,
-                    f"Gram[{labels[r]}][{labels[c]}] = {got}, expected {want}",
-                )
+        if target in seen:
+            other, other_amp = seen[target]
+            return _failed(
+                ctx, name,
+                f"Gram[{other}][{digits}] = {other_amp.conj() * amp}, expected 0",
+            )
+        seen[target] = (digits, amp)
     return _passed(ctx, name)
+
+
+def _odd_power_table(ctx: AlgebraContext, k: int, m: int) -> rep.PhasedPermutation:
+    # The closed form of c_{2k-1}^m stated in check_power_formula; raising
+    # digit k by m moves the row-major position by a multiple of its stride.
+    N = ctx.N
+    stride = N ** (ctx.n - k)
+    perm = []
+    phase = []
+    for j, digits in enumerate(rep.basis_indices(ctx)):
+        head = sum(digits[: k - 1])
+        ak = digits[k - 1]
+        perm.append(j + ((ak + m) % N - ak) * stride)
+        phase.append(ctx.zeta_exp * m + 2 * (m * ak + m * (m - 1) // 2 - m * head))
+    return rep.PhasedPermutation(ctx, perm, phase)
 
 
 def check_power_formula(ctx: AlgebraContext) -> CheckReport:
@@ -260,25 +287,36 @@ def check_power_formula(ctx: AlgebraContext) -> CheckReport:
     The closed form on |a_1..a_n> is
     zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>.
     """
+    return _check_power_formula(ctx, *_generator_tables(ctx))
+
+
+def _check_power_formula(ctx, tables, problem) -> CheckReport:
     name = "power_formula"
-    N = ctx.N
+    if tables is None:
+        return _failed(ctx, name, problem)
     for k in range(1, ctx.n + 1):
-        for digits in rep.basis_indices(ctx):
-            state = rep.basis_state(ctx, digits)
-            head = sum(digits[: k - 1])
-            ak = digits[k - 1]
-            for m in range(0, 2 * N + 1):
-                phase = ctx.zeta(m) * ctx.q(m * ak + m * (m - 1) // 2 - m * head)
-                shifted = digits[: k - 1] + ((ak + m) % N,) + digits[k:]
-                expected = phase * rep.basis_state(ctx, shifted)
-                if not state == expected:
-                    return _failed(
-                        ctx, name,
-                        f"k={k}, m={m} on |{digits}>: {_state_text(state)} differs "
-                        f"from {_state_text(expected)}",
-                    )
-                state = rep.apply_odd(k, state)
+        power = rep.PhasedPermutation.identity(ctx)
+        for m in range(0, 2 * ctx.N + 1):
+            expected = _odd_power_table(ctx, k, m)
+            if power != expected:
+                j = _first_difference(power, expected)
+                return _failed(
+                    ctx, name,
+                    f"k={k}, m={m} on |{rep.basis_label(ctx, j)}>: "
+                    f"{_state_text(power.column(j))} differs from "
+                    f"{_state_text(expected.column(j))}",
+                )
+            power = tables[2 * k - 2] @ power
     return _passed(ctx, name)
+
+
+def _monomial_table(ctx: AlgebraContext, tables, monomial) -> rep.PhasedPermutation:
+    # phase * c_1^{e_1} ... c_{2n}^{e_{2n}}: the rightmost power acts first.
+    table = rep.PhasedPermutation.identity(ctx)
+    for generator, e in zip(tables, monomial.exps):
+        if e:
+            table = table @ generator ** e
+    return table.scaled(monomial.phase.root_exponent())
 
 
 def check_homomorphism(
@@ -287,20 +325,30 @@ def check_homomorphism(
     max_len: int = HOMOMORPHISM_MAX_LEN_DEFAULT,
     seed: int = 0,
 ) -> CheckReport:
-    """Seeded random words act identically letter-by-letter and in normal form."""
+    """Seeded random words act identically letter-by-letter and in normal form.
+
+    The letter-by-letter side applies each letter to sparse basis states; the
+    normal-form side is the table of ``normal_order(word)``, composed from
+    the generator tables.
+    """
+    return _check_homomorphism(ctx, *_generator_tables(ctx), trials, max_len, seed)
+
+
+def _check_homomorphism(ctx, tables, problem, trials, max_len, seed) -> CheckReport:
     name = "homomorphism"
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if tables is None:
+        return _failed(ctx, name, problem, seed)
     rng = random.Random(seed)
     top = ctx.num_generators
     for _ in range(trials):
         length = rng.randint(0, max_len)
         word = Word(ctx, tuple(rng.randint(1, top) for _ in range(length)))
-        element = normal_order(word).to_element()
-        for digits in rep.basis_indices(ctx):
-            start = rep.basis_state(ctx, digits)
-            direct = rep.apply_word(word, start)
-            via_normal = rep.apply_element(element, start)
+        table = _monomial_table(ctx, tables, normal_order(word))
+        for j, digits in enumerate(rep.basis_indices(ctx)):
+            direct = rep.apply_word(word, rep.basis_state(ctx, digits))
+            via_normal = table.column(j)
             if not direct == via_normal:
                 return _failed(
                     ctx, name,
@@ -323,6 +371,11 @@ ALL_CHECKS = (
     "homomorphism",
 )
 
+# Checks that run on the generator tables, which run_suite builds once.
+_TABLE_CHECKS = frozenset(
+    ("unitarity", "order", "commutation", "power_formula", "homomorphism")
+)
+
 
 def run_suite(
     ctx: AlgebraContext,
@@ -339,16 +392,21 @@ def run_suite(
         unknown = [name for name in selection if name not in ALL_CHECKS]
         if unknown:
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
+    tables, problem = (
+        _generator_tables(ctx) if _TABLE_CHECKS.intersection(selection) else (None, None)
+    )
     runners = {
         "zeta_root": lambda: check_zeta_root(ctx.N, ctx.zeta_exp),
-        "unitarity": lambda: check_unitarity(ctx),
-        "order": lambda: check_order(ctx),
-        "commutation": lambda: check_commutation(ctx),
+        "unitarity": lambda: _check_unitarity(ctx, tables, problem),
+        "order": lambda: _check_order(ctx, tables, problem),
+        "commutation": lambda: _check_commutation(ctx, tables, problem),
         "ground_identity": lambda: check_ground_identity(ctx),
         "projector_identity": lambda: check_projector_identity(ctx),
         "orthonormal_basis": lambda: check_orthonormal_basis(ctx),
-        "power_formula": lambda: check_power_formula(ctx),
-        "homomorphism": lambda: check_homomorphism(ctx, trials, max_len, seed),
+        "power_formula": lambda: _check_power_formula(ctx, tables, problem),
+        "homomorphism": lambda: _check_homomorphism(
+            ctx, tables, problem, trials, max_len, seed
+        ),
     }
     return [runners[name]() for name in ALL_CHECKS if name in selection]
 

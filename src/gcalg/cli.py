@@ -32,7 +32,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks (default 0)")
     common.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT,
-                        help=f"largest dense dimension allowed (default {DENSE_CAP_DEFAULT})")
+                        help="largest dimension N^n that verify, matrix and gram accept "
+                             f"(default {DENSE_CAP_DEFAULT})")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     return common
@@ -61,12 +62,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, text: str) -> None:
-    if args.output:
+def _write(args, text: str) -> int:
+    """Write the output; return 1 after a one-line error if --output fails."""
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _over_dense_cap(args, ctx) -> bool:
+    """Report and return True when the context's dimension exceeds --dense-cap."""
+    try:
+        rep.check_dense_cap(ctx, args.dense_cap)
+    except DenseCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _approx(value) -> str:
@@ -98,6 +115,8 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"unknown check name(s): {', '.join(unknown)}")
     if args.format == "csv":
         parser.error("csv output is not available for verify")
+    if _over_dense_cap(args, ctx):
+        return 1
     reports = axioms.run_suite(ctx, args.checks, seed=args.seed)
     if args.format == "json":
         text = json.dumps(axioms.suite_report(ctx, reports), indent=2) + "\n"
@@ -112,8 +131,7 @@ def cmd_verify(args, parser) -> int:
         failed = sum(1 for r in reports if not r.passed)
         lines.append(f"{len(reports) - failed}/{len(reports)} checks passed")
         text = "\n".join(lines) + "\n"
-    _write(args, text)
-    return 0 if all(r.passed for r in reports) else 1
+    return _write(args, text) or (0 if all(r.passed for r in reports) else 1)
 
 
 def cmd_eval(args, parser) -> int:
@@ -146,8 +164,7 @@ def cmd_eval(args, parser) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = canonical + "\n"
-    _write(args, text)
-    return 0
+    return _write(args, text)
 
 
 def cmd_matrix(args, parser) -> int:
@@ -159,20 +176,16 @@ def cmd_matrix(args, parser) -> int:
     except (expr.ParseError, expr.EvalError, DenseCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write(args, _matrix_output(args, matrix, ctx))
-    return 0
+    return _write(args, _matrix_output(args, matrix, ctx))
 
 
 def cmd_gram(args, parser) -> int:
     ctx = _context(args, parser)
-    if ctx.dim > args.dense_cap:
-        print(f"error: dimension {ctx.dim} exceeds the dense cap {args.dense_cap}",
-              file=sys.stderr)
+    if _over_dense_cap(args, ctx):
         return 1
     vectors = [rep.ordered_basis_vector(ctx, digits) for digits in rep.basis_indices(ctx)]
     matrix = [[rep.scalar_product(vr, vc) for vc in vectors] for vr in vectors]
-    _write(args, _matrix_output(args, matrix, ctx))
-    return 0
+    return _write(args, _matrix_output(args, matrix, ctx))
 
 
 def _context(args, parser) -> AlgebraContext:

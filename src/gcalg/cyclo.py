@@ -226,6 +226,26 @@ class CycloScalar:
                     rem[i - dn + j] -= c * d
         return not any(rem[:dn])
 
+    def root_exponent(self) -> int | None:
+        """The k in [0, order) with self == w^k, or None if self is no root of unity.
+
+        A single stored term +-w^k is read off directly (-1 = w^(order/2) for
+        even order); a single term with any other coefficient is no root; a
+        longer map is compared exactly against every root.
+        """
+        m = self.order
+        if len(self.coeffs) == 1:
+            (k, v), = self.coeffs.items()
+            if v == 1:
+                return k
+            if v == -1 and m % 2 == 0:
+                return (k + m // 2) % m
+            return None
+        for k in range(m):
+            if self == CycloScalar.root(m, k):
+                return k
+        return None
+
     def __bool__(self) -> bool:
         return not self.is_zero()
 

@@ -31,6 +31,7 @@ from .symbolic import AlgebraElement, projector_element
 
 __all__ = [
     "EvalError",
+    "MAX_PAREN_DEPTH",
     "Node",
     "ParseError",
     "eval_element",
@@ -39,6 +40,12 @@ __all__ = [
     "parse",
     "print_canonical",
 ]
+
+
+# Deepest parenthesis nesting the recursive-descent parser accepts.  Each
+# level costs four Python frames, so about 240 levels fit under the default
+# recursion limit; past this depth a positioned ParseError is raised instead.
+MAX_PAREN_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -107,6 +114,7 @@ class _Parser:
         self.text = text
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -162,8 +170,12 @@ class _Parser:
                 return Node("q", (start, start + len(textv)))
             self.error(f"unknown name {textv!r}")
         if kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                self.error(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")
             self.next()
+            self.depth += 1
             inner = self.sum()
+            self.depth -= 1
             end_tok = self.expect(")", "')'")
             inner.span = (start, end_tok[2] + 1)
             return inner

@@ -7,6 +7,13 @@ the odd generator c_{2k-1} contributes an extra zeta q^{a_k}.  The projector
 E_k keeps exactly the components with a_k = 0.  Operators act term by term
 on the sparse amplitude map, so applying a generator never materializes a
 matrix; ``dense_matrix`` exists for exports and cross-checks only.
+
+Because every generator sends a basis state to a root of unity times a basis
+state, its whole action also fits in a :class:`PhasedPermutation`: for each
+row-major basis position, a target position and an exponent of
+w = exp(i*pi/N).  ``generator_table`` reads such a table off ``apply_generator``
+one basis state at a time, and products, powers and adjoints of the tables are
+then exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ __all__ = [
     "BasisIndex",
     "DENSE_CAP_DEFAULT",
     "DenseCapError",
+    "NotPhasedPermutationError",
+    "PhasedPermutation",
     "QuditState",
     "apply_element",
     "apply_even",
@@ -29,8 +38,11 @@ __all__ = [
     "apply_projector",
     "apply_word",
     "basis_indices",
+    "basis_label",
     "basis_state",
+    "check_dense_cap",
     "dense_matrix",
+    "generator_table",
     "ground_state",
     "ordered_basis_vector",
     "scalar_product",
@@ -45,6 +57,16 @@ DENSE_CAP_DEFAULT = 4096
 
 class DenseCapError(ValueError):
     """A dense output would exceed the configured dimension cap."""
+
+
+class NotPhasedPermutationError(ValueError):
+    """An operator sends some basis state to something other than +-w^k |b>."""
+
+
+def check_dense_cap(ctx: AlgebraContext, cap: int) -> None:
+    """Raise DenseCapError when the context's dimension exceeds ``cap``."""
+    if ctx.dim > cap:
+        raise DenseCapError(f"dimension {ctx.dim} exceeds the dense cap {cap}")
 
 
 def _check_digits(ctx: AlgebraContext, digits: BasisIndex):
@@ -157,6 +179,17 @@ def basis_indices(ctx: AlgebraContext):
     return itertools.product(range(ctx.N), repeat=ctx.n)
 
 
+def basis_label(ctx: AlgebraContext, position: int) -> BasisIndex:
+    """The basis label at a row-major position, the inverse of ``basis_indices`` order."""
+    if not 0 <= position < ctx.dim:
+        raise ValueError(f"basis position {position} out of range 0..{ctx.dim - 1}")
+    digits = []
+    for _ in range(ctx.n):
+        position, d = divmod(position, ctx.N)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
 def apply_even(k: int, state: QuditState) -> QuditState:
     """Action of c_{2k}: raise digit k, phase q^{-(sum of digits left of k)}."""
     ctx = state.ctx
@@ -233,6 +266,137 @@ def apply_element(element: AlgebraElement, state: QuditState) -> QuditState:
     )
 
 
+class PhasedPermutation:
+    """The operator |a> -> w^{phase[a]} |perm[a]> on row-major basis positions.
+
+    ``perm`` and ``phase`` are tuples of ints of length ``ctx.dim``; phases
+    are exponents of w = exp(i*pi/N) reduced mod 2N.  ``a @ b`` is the
+    operator a applied after b.  Instances are immutable values and ``==``
+    compares both tuples exactly.
+    """
+
+    __slots__ = ("ctx", "perm", "phase")
+
+    __hash__ = None
+
+    def __init__(self, ctx: AlgebraContext, perm, phase):
+        perm = tuple(perm)
+        phase = tuple(f % ctx.order for f in phase)
+        if len(perm) != ctx.dim or len(phase) != ctx.dim:
+            raise ValueError(f"expected tables of length {ctx.dim}")
+        if any(not 0 <= b < ctx.dim for b in perm):
+            raise ValueError(f"positions must lie in [0, {ctx.dim})")
+        self.ctx = ctx
+        self.perm = perm
+        self.phase = phase
+
+    @classmethod
+    def _raw(cls, ctx: AlgebraContext, perm: tuple, phase: tuple) -> PhasedPermutation:
+        t = cls.__new__(cls)
+        t.ctx = ctx
+        t.perm = perm
+        t.phase = phase
+        return t
+
+    @classmethod
+    def identity(cls, ctx: AlgebraContext) -> PhasedPermutation:
+        return cls._raw(ctx, tuple(range(ctx.dim)), (0,) * ctx.dim)
+
+    def __matmul__(self, other):
+        if not isinstance(other, PhasedPermutation):
+            return NotImplemented
+        if other.ctx != self.ctx:
+            raise ContextMismatchError("tables from different contexts")
+        m = self.ctx.order
+        perm, phase = self.perm, self.phase
+        return PhasedPermutation._raw(
+            self.ctx,
+            tuple(perm[b] for b in other.perm),
+            tuple((f + phase[b]) % m for b, f in zip(other.perm, other.phase)),
+        )
+
+    def __pow__(self, k: int) -> PhasedPermutation:
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise ValueError("negative powers are not defined; dagger() inverts a bijective table")
+        out = PhasedPermutation.identity(self.ctx)
+        base = self
+        while k:
+            if k & 1:
+                out = out @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        return out
+
+    def is_bijection(self) -> bool:
+        return len(set(self.perm)) == len(self.perm)
+
+    def dagger(self) -> PhasedPermutation:
+        """Conjugate transpose |perm[a]> -> w^{-phase[a]} |a>; needs a bijective perm."""
+        if not self.is_bijection():
+            raise ValueError("only a bijective table has a phased-permutation dagger")
+        m = self.ctx.order
+        perm = [0] * len(self.perm)
+        phase = [0] * len(self.perm)
+        for a, (b, f) in enumerate(zip(self.perm, self.phase)):
+            perm[b] = a
+            phase[b] = -f % m
+        return PhasedPermutation._raw(self.ctx, tuple(perm), tuple(phase))
+
+    def scaled(self, k: int) -> PhasedPermutation:
+        """The operator w^k times this one."""
+        m = self.ctx.order
+        return PhasedPermutation._raw(self.ctx, self.perm, tuple((f + k) % m for f in self.phase))
+
+    def column(self, position: int) -> QuditState:
+        """The image of the basis state at ``position``, as a sparse state."""
+        ctx = self.ctx
+        target = basis_label(ctx, self.perm[position])
+        return QuditState._raw(ctx, {target: ctx.omega(self.phase[position])})
+
+    def __eq__(self, other):
+        if not isinstance(other, PhasedPermutation):
+            return NotImplemented
+        return self.ctx == other.ctx and self.perm == other.perm and self.phase == other.phase
+
+    def __repr__(self) -> str:
+        return (
+            f"PhasedPermutation(N={self.ctx.N}, n={self.ctx.n}, "
+            f"perm={self.perm}, phase={self.phase})"
+        )
+
+
+def generator_table(ctx: AlgebraContext, i: int) -> PhasedPermutation:
+    """Table of c_i, read off by applying ``apply_generator`` to every basis state.
+
+    Raises NotPhasedPermutationError, naming the first basis state whose
+    image is not a single term +-w^k on a basis label.
+    """
+    position = {label: j for j, label in enumerate(basis_indices(ctx))}
+    perm = []
+    phase = []
+    for label in position:
+        out = apply_generator(i, basis_state(ctx, label))
+        if len(out.amps) != 1:
+            raise NotPhasedPermutationError(
+                f"c_{i}|{label}> has {len(out.amps)} terms, expected 1"
+            )
+        (target, amp), = out.amps.items()
+        j = position.get(target)
+        if j is None:
+            raise NotPhasedPermutationError(f"c_{i}|{label}> lands on {target}, not a basis label")
+        k = amp.root_exponent()
+        if k is None:
+            raise NotPhasedPermutationError(
+                f"c_{i}|{label}> has amplitude {amp}, expected a root of unity"
+            )
+        perm.append(j)
+        phase.append(k)
+    return PhasedPermutation._raw(ctx, tuple(perm), tuple(phase))
+
+
 def scalar_product(a: QuditState, b: QuditState) -> CycloScalar:
     """Hermitian product, conjugate-linear in the first argument."""
     a._check_ctx(b)
@@ -270,9 +434,8 @@ def dense_matrix(element: AlgebraElement, cap: int = DENSE_CAP_DEFAULT) -> list[
     Rows and columns follow ``basis_indices`` order (first digit slowest).
     """
     ctx = element.ctx
+    check_dense_cap(ctx, cap)
     dim = ctx.dim
-    if dim > cap:
-        raise DenseCapError(f"dimension {dim} exceeds the dense cap {cap}")
     labels = list(basis_indices(ctx))
     row_of = {label: r for r, label in enumerate(labels)}
     zero = ctx.zero()

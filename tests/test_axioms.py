@@ -7,6 +7,7 @@ from gcalg import (
     AlgebraContext,
     admissible_zeta_exps,
     check_homomorphism,
+    check_unitarity,
     check_zeta_root,
     run_suite,
     suite_report,
@@ -45,9 +46,9 @@ class TestSuite:
 
     def test_full_range_passes(self):
         # Exhaustive exact verification across the advertised size range.
-        for N in range(2, 7):
-            for n in range(1, 4):
-                if N**n > 216:
+        for N in range(2, 9):
+            for n in range(1, 9):
+                if N**n > 256:
                     continue
                 ctx = AlgebraContext(N, n)
                 reports = run_suite(ctx)
@@ -98,3 +99,31 @@ class TestFailureReporting:
         assert failed
         for report in failed:
             assert report.counterexample
+
+    def test_non_unit_amplitude_is_a_counterexample(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        original = rep.apply_even
+        monkeypatch.setattr(rep, "apply_even", lambda k, s: 2 * original(k, s))
+        reports = {r.name: r for r in run_suite(ctx)}
+        unitarity = reports["unitarity"]
+        assert not unitarity.passed
+        assert "c_2|(0, 0)> has amplitude 2, expected a root of unity" in unitarity.counterexample
+        assert not check_unitarity(ctx).passed
+
+    def test_fault_patched_after_a_pass_is_caught(self, monkeypatch):
+        # Tables are built per run_suite call, so a context that passed once
+        # must still fail after a fault is patched in.
+        ctx = AlgebraContext(3, 2)
+        assert all(r.passed for r in run_suite(ctx))
+        original = rep.apply_odd
+        monkeypatch.setattr(rep, "apply_odd", lambda k, s: -1 * original(k, s))
+        failed = {r.name for r in run_suite(ctx) if not r.passed}
+        assert {"unitarity", "order", "power_formula"} <= failed
+        monkeypatch.undo()
+        assert all(r.passed for r in run_suite(ctx))
+
+    def test_selection_without_table_checks_builds_no_tables(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        monkeypatch.setattr(rep, "generator_table", None)
+        names = [r.name for r in run_suite(ctx, ["zeta_root", "ground_identity"])]
+        assert names == ["zeta_root", "ground_identity"]

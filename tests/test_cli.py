@@ -49,6 +49,12 @@ class TestVerify:
         assert code == 0
         assert "2/2 checks passed" in out
 
+    def test_dimension_over_dense_cap_exits_1(self, capsys):
+        code, out, err = run(["verify", "--N", "2", "--n", "40"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: dimension 1099511627776 exceeds the dense cap 4096\n"
+
     def test_deterministic_output(self, capsys):
         args = ["verify", "--N", "3", "--n", "1", "--format", "json", "--seed", "5"]
         _, first, _ = run(args, capsys)
@@ -88,6 +94,13 @@ class TestEval:
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[1"], capsys)
         assert code == 1
         assert "syntax error at 1:4" in err
+
+    def test_deep_nesting_exits_1(self, capsys):
+        deep = "(" * 3000 + "c[1]" + ")" * 3000
+        code, out, err = run(["eval", "--N", "3", "--n", "1", deep], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: syntax error at 1:")
 
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)
@@ -175,3 +188,13 @@ class TestGram:
         code, out, _ = run(["gram", "--N", "2", "--n", "1"], capsys)
         assert code == 0
         assert out == "1\t0\n0\t1\n"
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "g.csv"
+        code, out, err = run(
+            ["gram", "--N", "2", "--n", "1", "--format", "csv", "--output", str(target)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {target}: ")
+        assert not target.parent.exists()

@@ -141,6 +141,22 @@ class TestRootRelations:
         ctx = AlgebraContext(N, 1)
         assert ctx.zeta() == ctx.q((N + 1) // 2)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    def test_root_exponent(self, N):
+        ctx = AlgebraContext(N, 1)
+        m = ctx.order
+        for k in range(m):
+            assert ctx.omega(k).root_exponent() == k
+            assert (-ctx.omega(k)).root_exponent() == (k + N) % m
+            # w^k + 1 + w^N is stored with several terms but equals w^k.
+            spread = ctx.omega(k) + ctx.one() + ctx.omega(N)
+            assert len(spread.coeffs) > 1
+            assert spread.root_exponent() == k
+            assert (2 * ctx.omega(k)).root_exponent() is None
+        # 1 + w^N is zero; 1 + w is no root of unity (|1 + w| > 1).
+        assert (ctx.one() + ctx.omega(N)).root_exponent() is None
+        assert (ctx.one() + ctx.omega(1)).root_exponent() is None
+
 
 class TestScalarArithmetic:
     def test_is_zero_cube_root_sum(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gcalg import (
+    MAX_PAREN_DEPTH,
     AlgebraContext,
     AlgebraElement,
     EvalError,
@@ -103,6 +104,16 @@ class TestParsing:
         with pytest.raises(ParseError) as info:
             parse(bad)
         assert 0 <= info.value.pos <= len(bad)
+
+    def test_deep_nesting_is_a_positioned_error(self):
+        deep = "(" * 3000 + "c[1]" + ")" * 3000
+        with pytest.raises(ParseError) as info:
+            parse(deep)
+        assert 0 <= info.value.pos <= len(deep)
+        assert deep[info.value.pos] == "("
+        ctx = AlgebraContext(3, 1)
+        limit = "(" * MAX_PAREN_DEPTH + "c[1]" + ")" * MAX_PAREN_DEPTH
+        assert eval_element(parse(limit), ctx) == eval_element(parse("c[1]"), ctx)
 
 
 class TestEvaluation:

@@ -9,6 +9,7 @@ from gcalg import (
     AlgebraElement,
     ContextMismatchError,
     DenseCapError,
+    PhasedPermutation,
     Word,
     apply_element,
     apply_even,
@@ -17,8 +18,10 @@ from gcalg import (
     apply_projector,
     apply_word,
     basis_indices,
+    basis_label,
     basis_state,
     dense_matrix,
+    generator_table,
     ground_state,
     normal_order,
     ordered_basis_vector,
@@ -27,7 +30,7 @@ from gcalg import (
     state_from_json,
     state_to_json,
 )
-from helpers import exact_matmul, random_element, random_scalar, random_state
+from helpers import exact_matmul, random_element, random_scalar, random_state, random_word
 
 
 class TestStates:
@@ -274,6 +277,75 @@ class TestOrderedBasis:
         assert set(v.amps) == {(1, 1)}
         amp = v.amplitude((1, 1))
         assert amp.conj() * amp == 1
+
+
+TABLE_CONTEXTS = [(3, 2, 4), (2, 3, 1), (2, 3, 3), (4, 2, 1), (4, 2, 5)]
+
+
+def generator_tables(ctx):
+    return [generator_table(ctx, i) for i in range(1, ctx.num_generators + 1)]
+
+
+class TestPhasedPermutation:
+    def test_basis_label_inverts_row_major_order(self):
+        ctx = AlgebraContext(3, 2)
+        assert [basis_label(ctx, j) for j in range(ctx.dim)] == list(basis_indices(ctx))
+        with pytest.raises(ValueError):
+            basis_label(ctx, ctx.dim)
+
+    @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
+    def test_columns_match_generator_action(self, N, n, zeta_exp):
+        ctx = AlgebraContext(N, n, zeta_exp)
+        for i, table in enumerate(generator_tables(ctx), start=1):
+            for j, digits in enumerate(basis_indices(ctx)):
+                assert table.column(j) == apply_generator(i, basis_state(ctx, digits))
+
+    @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
+    def test_composed_tables_match_apply_word(self, N, n, zeta_exp):
+        ctx = AlgebraContext(N, n, zeta_exp)
+        tables = generator_tables(ctx)
+        rng = random.Random(31 * N + n + zeta_exp)
+        for _ in range(20):
+            word = random_word(rng, ctx, 8)
+            product = PhasedPermutation.identity(ctx)
+            for letter in word.letters:
+                product = product @ tables[letter - 1]
+            for j, digits in enumerate(basis_indices(ctx)):
+                assert product.column(j) == apply_word(word, basis_state(ctx, digits))
+
+    @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
+    def test_dagger_inverts(self, N, n, zeta_exp):
+        ctx = AlgebraContext(N, n, zeta_exp)
+        identity = PhasedPermutation.identity(ctx)
+        for table in generator_tables(ctx):
+            assert table.dagger() @ table == identity
+            assert table @ table.dagger() == identity
+            assert table ** ctx.N == identity
+            assert table ** 0 == identity
+
+    def test_scaling_and_equality(self):
+        ctx = AlgebraContext(3, 2)
+        c1, c2 = generator_table(ctx, 1), generator_table(ctx, 2)
+        assert c1 @ c2 == (c2 @ c1).scaled(2)  # c_1 c_2 = q c_2 c_1
+        assert c1 @ c2 != c2 @ c1
+        assert c1.scaled(ctx.order) == c1
+        assert c1 == PhasedPermutation(ctx, c1.perm, [f + ctx.order for f in c1.phase])
+
+    def test_non_bijective_table_has_no_dagger(self):
+        ctx = AlgebraContext(2, 1)
+        collapse = PhasedPermutation(ctx, [0, 0], [0, 0])
+        assert not collapse.is_bijection()
+        with pytest.raises(ValueError):
+            collapse.dagger()
+
+    def test_constructor_validates(self):
+        ctx = AlgebraContext(2, 1)
+        with pytest.raises(ValueError):
+            PhasedPermutation(ctx, [0], [0])
+        with pytest.raises(ValueError):
+            PhasedPermutation(ctx, [0, 2], [0, 0])
+        with pytest.raises(ContextMismatchError):
+            PhasedPermutation.identity(ctx) @ PhasedPermutation.identity(AlgebraContext(2, 2))
 
 
 class TestJson:
