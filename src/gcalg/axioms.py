@@ -377,13 +377,7 @@ _TABLE_CHECKS = frozenset(
 )
 
 
-def run_suite(
-    ctx: AlgebraContext,
-    selection=None,
-    seed: int = 0,
-    trials: int = HOMOMORPHISM_TRIALS_DEFAULT,
-    max_len: int = HOMOMORPHISM_MAX_LEN_DEFAULT,
-) -> list[CheckReport]:
+def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckReport]:
     """Run the selected checks (default: all) in a fixed deterministic order."""
     if selection is None:
         selection = ALL_CHECKS
@@ -405,7 +399,7 @@ def run_suite(
         "orthonormal_basis": lambda: check_orthonormal_basis(ctx),
         "power_formula": lambda: _check_power_formula(ctx, tables, problem),
         "homomorphism": lambda: _check_homomorphism(
-            ctx, tables, problem, trials, max_len, seed
+            ctx, tables, problem, HOMOMORPHISM_TRIALS_DEFAULT, HOMOMORPHISM_MAX_LEN_DEFAULT, seed
         ),
     }
     return [runners[name]() for name in ALL_CHECKS if name in selection]

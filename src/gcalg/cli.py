@@ -76,14 +76,38 @@ def _write(args, text: str) -> int:
     return 0
 
 
-def _over_dense_cap(args, ctx) -> bool:
-    """Report and return True when the context's dimension exceeds --dense-cap."""
-    try:
-        rep.check_dense_cap(ctx, args.dense_cap)
-    except DenseCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return True
-    return False
+# Float approximations (JSON "approx", CSV cells) are refused for coefficients
+# of magnitude 2^FLOAT_BITS or more, so every sum in to_complex stays finite.
+FLOAT_BITS = 1000
+
+
+class UnprintableError(ValueError):
+    """A coefficient of the result is too large to write in the chosen format."""
+
+
+def _check_printable(scalars, fmt: str) -> None:
+    """Raise UnprintableError when some coefficient of ``scalars`` cannot be written.
+
+    Text and JSON write exact coefficients as decimal numerators and
+    denominators, which Python refuses past its int/str conversion limit;
+    JSON and CSV also write float approximations.
+    """
+    values = [v for scalar in scalars for v in scalar.coeffs.values()]
+    # A limit of 0, or no getter (before 3.10.7), means Python has none.
+    limit = getattr(sys, "get_int_max_str_digits", int)() if fmt != "csv" else 0
+    longest = max((max(abs(v.numerator), v.denominator) for v in values), default=0)
+    # Below 2^(3 limit) = 8^limit a number is short enough; 10**limit is
+    # only worth computing above that.
+    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
+        raise UnprintableError(
+            f"result too large to print: a coefficient has more than {limit} digits, "
+            "Python's int/str limit"
+        )
+    if fmt != "text" and any(abs(v.numerator) >> FLOAT_BITS >= v.denominator for v in values):
+        raise UnprintableError(
+            f"result too large to print: a coefficient of magnitude 2^{FLOAT_BITS} "
+            "or more has no float approximation"
+        )
 
 
 def _approx(value) -> str:
@@ -115,8 +139,7 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"unknown check name(s): {', '.join(unknown)}")
     if args.format == "csv":
         parser.error("csv output is not available for verify")
-    if _over_dense_cap(args, ctx):
-        return 1
+    rep.check_dense_cap(ctx, args.dense_cap)
     reports = axioms.run_suite(ctx, args.checks, seed=args.seed)
     if args.format == "json":
         text = json.dumps(axioms.suite_report(ctx, reports), indent=2) + "\n"
@@ -138,17 +161,14 @@ def cmd_eval(args, parser) -> int:
     ctx = _context(args, parser)
     if args.format == "csv":
         parser.error("csv output is not available for eval")
-    try:
-        ast = expr.parse(args.expression)
-        if ast.kind == "sandwich":
-            kind, value = "scalar", expr.eval_scalar(ast, ctx)
-        elif ast.kind == "apply":
-            kind, value = "state", expr.eval_state(ast, ctx)
-        else:
-            kind, value = "element", expr.eval_element(ast, ctx)
-    except (expr.ParseError, expr.EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ast = expr.parse(args.expression)
+    if ast.kind == "sandwich":
+        kind, value = "scalar", expr.eval_scalar(ast, ctx)
+    elif ast.kind == "apply":
+        kind, value = "state", expr.eval_state(ast, ctx)
+    else:
+        kind, value = "element", expr.eval_element(ast, ctx)
+    _check_printable([value] if kind == "scalar" else value.terms.values(), args.format)
     canonical = expr.print_canonical(value, ctx)
     if args.format == "json":
         payload = {"kind": kind, "canonical": canonical}
@@ -169,20 +189,15 @@ def cmd_eval(args, parser) -> int:
 
 def cmd_matrix(args, parser) -> int:
     ctx = _context(args, parser)
-    try:
-        ast = expr.parse(args.expression)
-        element = expr.eval_element(ast, ctx)
-        matrix = rep.dense_matrix(element, cap=args.dense_cap)
-    except (expr.ParseError, expr.EvalError, DenseCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    element = expr.eval_element(expr.parse(args.expression), ctx)
+    matrix = rep.dense_matrix(element, cap=args.dense_cap)
+    _check_printable((cell for row in matrix for cell in row), args.format)
     return _write(args, _matrix_output(args, matrix, ctx))
 
 
 def cmd_gram(args, parser) -> int:
     ctx = _context(args, parser)
-    if _over_dense_cap(args, ctx):
-        return 1
+    rep.check_dense_cap(ctx, args.dense_cap)
     vectors = [rep.ordered_basis_vector(ctx, digits) for digits in rep.basis_indices(ctx)]
     matrix = [[rep.scalar_product(vr, vc) for vc in vectors] for vr in vectors]
     return _write(args, _matrix_output(args, matrix, ctx))
@@ -204,7 +219,11 @@ def main(argv=None) -> int:
         "matrix": cmd_matrix,
         "gram": cmd_gram,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except (expr.ParseError, expr.EvalError, DenseCapError, UnprintableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,11 +10,18 @@ recognizable; zero testing and equality reduce the coefficient polynomial
 modulo Phi_{2N} and are exact.  Floating point enters only through
 ``to_complex``, which exists for display and sanity oracles, never for
 equality decisions.
+
+:class:`ExactVector` is the one sparse vector over these scalars: a map from
+keys to nonzero scalars.  Algebra elements (keyed by exponent vectors) and
+qudit states (keyed by basis labels) are its subclasses, and ``sum_terms``
+is the one place where contributions are summed and zero sums pruned.
+``power_by_squaring`` serves every ``**`` in the package.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,13 +30,31 @@ __all__ = [
     "AlgebraContext",
     "ContextMismatchError",
     "CycloScalar",
+    "ExactVector",
     "admissible_zeta_exps",
     "cyclotomic_polynomial",
+    "power_by_squaring",
+    "sum_terms",
 ]
 
 
 class ContextMismatchError(ValueError):
     """Two operands live in different rings or algebra contexts."""
+
+
+def power_by_squaring(base, k: int, one, mul=operator.mul):
+    """base^k for an int k >= 0 by square-and-multiply; ``one`` is base^0.
+
+    Products are formed as ``mul(out, base)`` and ``mul(base, base)``.
+    """
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -195,15 +220,7 @@ class CycloScalar:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers are not defined; conj() inverts unit scalars")
-        out = CycloScalar.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power_by_squaring(self, k, CycloScalar.one(self.order))
 
     def conj(self) -> CycloScalar:
         """Complex conjugate: w^k -> w^{-k}, rationals fixed."""
@@ -295,6 +312,103 @@ class CycloScalar:
             else:
                 parts.append(f"{v}*w^{k}")
         return " + ".join(parts)
+
+
+def sum_terms(pairs) -> dict:
+    """Sum (key, nonzero scalar) contributions into a map with no zero values.
+
+    All contributions to a key are added, in order, before that key is
+    zero-tested.  Stored maps are unreduced, so pruning a partial sum the
+    moment it vanishes would change the stored (and printed) form of the
+    final sum.  A key with a single contribution is not tested: the ring is
+    a field, and the contribution is nonzero.  Keys keep the order in which
+    they first appear.
+    """
+    out = {}
+    summed = set()
+    for key, value in pairs:
+        if key in out:
+            out[key] = out[key] + value
+            summed.add(key)
+        else:
+            out[key] = value
+    for key in summed:
+        if out[key].is_zero():
+            del out[key]
+    return out
+
+
+class ExactVector:
+    """A sparse vector with exact coefficients in the ring of an AlgebraContext.
+
+    ``terms`` maps keys to nonzero scalars; the empty map is the zero vector.
+    Subclasses validate and normalize keys in ``_key``.  Every constructor
+    and operation prunes sums that reduce to zero, so two vectors are equal
+    iff their maps are termwise equal.  Instances are immutable values and
+    unhashable, like their scalars.
+    """
+
+    __slots__ = ("ctx", "terms")
+
+    __hash__ = None
+
+    def __init__(self, ctx: AlgebraContext, terms=None):
+        self.ctx = ctx
+        pairs = []
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            if coeff.order != ctx.order:
+                raise ContextMismatchError("coefficient ring does not match the context")
+            if not coeff.is_zero():
+                pairs.append((key, coeff))
+        self.terms = sum_terms(pairs)
+
+    @classmethod
+    def _raw(cls, ctx: AlgebraContext, terms: dict):
+        # Internal constructor for maps already free of zero coefficients.
+        v = cls.__new__(cls)
+        v.ctx = ctx
+        v.terms = terms
+        return v
+
+    def _check_ctx(self, other: ExactVector):
+        if self.ctx != other.ctx:
+            raise ContextMismatchError(f"{type(self).__name__}s from different contexts")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_ctx(other)
+        return self._raw(self.ctx, sum_terms((*self.terms.items(), *other.terms.items())))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.ctx, {k: -c for k, c in self.terms.items()})
+
+    def _scaled(self, value):
+        s = value if isinstance(value, CycloScalar) else self.ctx.scalar(value)
+        if s.order != self.ctx.order:
+            raise ContextMismatchError("scalar ring does not match the context")
+        if s.is_zero():
+            return self._raw(self.ctx, {})
+        # A nonzero scalar times a nonzero coefficient stays nonzero: the
+        # value ring is a field, so no pruning is needed here.
+        return self._raw(self.ctx, {k: c * s for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (CycloScalar, int, Fraction)):
+            return self._scaled(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}: {c}" for k, c in sorted(self.terms.items()))
+        return f"{type(self).__name__}(N={self.ctx.N}, n={self.ctx.n}, {{{body}}})"
 
 
 def admissible_zeta_exps(N: int) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ supplied context, not at parse time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,9 +87,9 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("NUMBER", text[i:j], i))
             i = j
@@ -135,9 +136,16 @@ class _Parser:
             self.error(f"expected {what or kind!r}", tok)
         return self.next()
 
-    def _uint(self) -> int:
-        tok = self.expect("NUMBER", "an unsigned integer")
+    def _int(self, tok) -> int:
+        # int() refuses literals longer than Python's int/str conversion
+        # limit; a limit of 0, or no getter (before 3.10.7), means none.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and len(tok[1]) > limit:
+            self.error(f"integer literal longer than {limit} digits", tok)
         return int(tok[1])
+
+    def _uint(self) -> int:
+        return self._int(self.expect("NUMBER", "an unsigned integer"))
 
     def _at_atom(self, ahead: int = 0) -> bool:
         kind, textv, _ = self.peek(ahead)
@@ -189,13 +197,13 @@ class _Parser:
             negative = True
             self.next()
         tok = self.expect("NUMBER", "an integer")
-        numerator = int(tok[1])
+        numerator = self._int(tok)
         end = tok[2] + len(tok[1])
         denominator = 1
         if self.peek()[0] == "/":
             self.next()
             dtok = self.expect("NUMBER", "a denominator")
-            denominator = int(dtok[1])
+            denominator = self._int(dtok)
             if denominator == 0:
                 raise ParseError("zero denominator", self.text, dtok[2])
             end = dtok[2] + len(dtok[1])
@@ -214,7 +222,7 @@ class _Parser:
                     negative = True
                     self.next()
                 tok = self.expect("NUMBER", "an integer exponent")
-                exponent = int(tok[1])
+                exponent = self._int(tok)
                 if negative:
                     exponent = -exponent
                 node = Node("pow", (node.span[0], tok[2] + len(tok[1])), exponent, (node,))
@@ -292,13 +300,13 @@ class _Parser:
         start = self.peek()[2]
         if self.peek()[0] != "NUMBER":
             return None
-        digits = [int(self.next()[1])]
+        digits = [self._int(self.next())]
         while self.peek()[0] == ",":
             self.next()
             if self.peek()[0] != "NUMBER":
                 self.pos = start_pos
                 return None
-            digits.append(int(self.next()[1]))
+            digits.append(self._int(self.next()))
         if self.peek()[0] != ">":
             self.pos = start_pos
             return None
@@ -361,10 +369,17 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
         if not 1 <= node.value <= ctx.n:
             raise EvalError(f"projector index {node.value} out of range 1..{ctx.n}")
         return projector_element(ctx, node.value)
-    if kind == "pow":
-        return _eval_operator(node.children[0], ctx) ** node.value
-    if kind == "dagger":
-        return _eval_operator(node.children[0], ctx).adjoint()
+    if kind in ("pow", "dagger"):
+        # A postfix chain such as x^2'^3 nests one node per operator; walk it
+        # in a loop so that long chains cannot exhaust the recursion limit.
+        chain = []
+        while node.kind in ("pow", "dagger"):
+            chain.append(node)
+            node = node.children[0]
+        out = _eval_operator(node, ctx)
+        for op in reversed(chain):
+            out = out ** op.value if op.kind == "pow" else out.adjoint()
+        return out
     if kind == "product":
         out = AlgebraElement.one(ctx)
         for child in node.children:
@@ -378,14 +393,15 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
     raise EvalError(f"expected an operator expression, found a {kind} node")
 
 
-def _eval_ket(node: Node, ctx: AlgebraContext) -> QuditState:
+def _eval_label(node: Node, ctx: AlgebraContext) -> QuditState:
+    # The basis state of a ket or bra node; the Omega ket has no digits.
     digits = node.value
     if digits is None:
         digits = (0,) * ctx.n
     if len(digits) != ctx.n:
-        raise EvalError(f"ket has {len(digits)} digits, expected {ctx.n}")
+        raise EvalError(f"{node.kind} has {len(digits)} digits, expected {ctx.n}")
     if any(not 0 <= d < ctx.N for d in digits):
-        raise EvalError(f"ket digits must lie in [0, {ctx.N}): {digits}")
+        raise EvalError(f"{node.kind} digits must lie in [0, {ctx.N}): {digits}")
     return basis_state(ctx, digits)
 
 
@@ -400,7 +416,7 @@ def eval_state(ast: Node, ctx: AlgebraContext) -> QuditState:
     """Evaluate a ket expression (with optional operator prefix) to a state."""
     if ast.kind != "apply":
         raise EvalError(f"expected a state expression, got a {ast.kind}")
-    ket = _eval_ket(ast.children[-1], ctx)
+    ket = _eval_label(ast.children[-1], ctx)
     if len(ast.children) == 1:
         return ket
     return apply_element(_eval_operator(ast.children[0], ctx), ket)
@@ -414,14 +430,8 @@ def eval_scalar(ast: Node, ctx: AlgebraContext) -> CycloScalar:
     """
     if ast.kind != "sandwich":
         raise EvalError(f"expected a bra-ket expression, got a {ast.kind}")
-    bra_node = ast.children[0]
-    digits = bra_node.value
-    if len(digits) != ctx.n:
-        raise EvalError(f"bra has {len(digits)} digits, expected {ctx.n}")
-    if any(not 0 <= d < ctx.N for d in digits):
-        raise EvalError(f"bra digits must lie in [0, {ctx.N}): {digits}")
-    bra_state = basis_state(ctx, digits)
-    ket_state = _eval_ket(ast.children[-1], ctx)
+    bra_state = _eval_label(ast.children[0], ctx)
+    ket_state = _eval_label(ast.children[-1], ctx)
     if len(ast.children) == 3:
         ket_state = apply_element(_eval_operator(ast.children[1], ctx), ket_state)
     return scalar_product(bra_state, ket_state)

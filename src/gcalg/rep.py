@@ -4,9 +4,11 @@ Basis states carry labels (a_1, ..., a_n) with digits in [0, N).  Every
 generator is a generalized permutation: on a basis label the even generator
 c_{2k} increments a_k mod N and multiplies by q^{-(a_1+...+a_{k-1})}, while
 the odd generator c_{2k-1} contributes an extra zeta q^{a_k}.  The projector
-E_k keeps exactly the components with a_k = 0.  Operators act term by term
-on the sparse amplitude map, so applying a generator never materializes a
-matrix; ``dense_matrix`` exists for exports and cross-checks only.
+E_k keeps exactly the components with a_k = 0.  A state is a
+:class:`gcalg.cyclo.ExactVector` map from basis labels to amplitudes, the
+same sparse vector type as an algebra element.  Operators act term by term
+on that map, so applying a generator never materializes a matrix;
+``dense_matrix`` exists for exports and cross-checks only.
 
 Because every generator sends a basis state to a root of unity times a basis
 state, its whole action also fits in a :class:`PhasedPermutation`: for each
@@ -19,9 +21,16 @@ then exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import operator
 
-from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar
+from .cyclo import (
+    AlgebraContext,
+    ContextMismatchError,
+    CycloScalar,
+    ExactVector,
+    power_by_squaring,
+    sum_terms,
+)
 from .symbolic import AlgebraElement, Word
 
 __all__ = [
@@ -76,91 +85,29 @@ def _check_digits(ctx: AlgebraContext, digits: BasisIndex):
         raise ValueError(f"digits must lie in [0, {ctx.N}): {digits}")
 
 
-class QuditState:
+class QuditState(ExactVector):
     """Sparse map from basis labels to exact amplitudes (zero terms absent)."""
 
-    __slots__ = ("ctx", "amps")
+    __slots__ = ()
 
-    __hash__ = None
+    def _key(self, digits) -> BasisIndex:
+        digits = tuple(digits)
+        _check_digits(self.ctx, digits)
+        return digits
 
-    def __init__(self, ctx: AlgebraContext, amps=None):
-        clean: dict[BasisIndex, CycloScalar] = {}
-        if amps:
-            for digits, amp in amps.items():
-                digits = tuple(digits)
-                _check_digits(ctx, digits)
-                if amp.order != ctx.order:
-                    raise ContextMismatchError("amplitude ring does not match the context")
-                if not amp.is_zero():
-                    acc = clean.get(digits)
-                    amp = amp if acc is None else acc + amp
-                    if amp.is_zero():
-                        del clean[digits]
-                    else:
-                        clean[digits] = amp
-        self.ctx = ctx
-        self.amps = clean
-
-    @classmethod
-    def _raw(cls, ctx: AlgebraContext, amps: dict) -> QuditState:
-        s = cls.__new__(cls)
-        s.ctx = ctx
-        s.amps = amps
-        return s
-
-    def _check_ctx(self, other: QuditState):
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("states from different contexts")
-
-    def __add__(self, other):
-        if not isinstance(other, QuditState):
-            return NotImplemented
-        self._check_ctx(other)
-        out = dict(self.amps)
-        for digits, amp in other.amps.items():
-            acc = out.get(digits)
-            total = amp if acc is None else acc + amp
-            if total.is_zero():
-                out.pop(digits, None)
-            else:
-                out[digits] = total
-        return QuditState._raw(self.ctx, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, QuditState):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> QuditState:
-        return QuditState._raw(self.ctx, {d: -a for d, a in self.amps.items()})
-
-    def _scaled(self, value) -> QuditState:
-        s = value if isinstance(value, CycloScalar) else self.ctx.scalar(value)
-        if s.order != self.ctx.order:
-            raise ContextMismatchError("scalar ring does not match the context")
-        if s.is_zero():
-            return QuditState._raw(self.ctx, {})
-        return QuditState._raw(self.ctx, {d: a * s for d, a in self.amps.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (CycloScalar, int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    @property
+    def amps(self) -> dict[BasisIndex, CycloScalar]:
+        """The ``terms`` map, basis label -> amplitude; read-only."""
+        return self.terms
 
     def amplitude(self, digits) -> CycloScalar:
         """Amplitude at a basis label, zero when absent."""
-        return self.amps.get(tuple(digits), CycloScalar.zero(self.ctx.order))
+        return self.terms.get(tuple(digits), CycloScalar.zero(self.ctx.order))
 
     def __eq__(self, other):
         if not isinstance(other, QuditState):
             return NotImplemented
-        return self.ctx == other.ctx and self.amps == other.amps
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{d}: {a}" for d, a in sorted(self.amps.items()))
-        return f"QuditState(N={self.ctx.N}, n={self.ctx.n}, {{{body}}})"
+        return self.ctx == other.ctx and self.terms == other.terms
 
 
 def ground_state(ctx: AlgebraContext) -> QuditState:
@@ -190,33 +137,31 @@ def basis_label(ctx: AlgebraContext, position: int) -> BasisIndex:
     return tuple(reversed(digits))
 
 
-def apply_even(k: int, state: QuditState) -> QuditState:
-    """Action of c_{2k}: raise digit k, phase q^{-(sum of digits left of k)}."""
+def _raise_digit(k: int, state: QuditState, zeta_power: int) -> QuditState:
+    # c_{2k} (zeta_power 0) or c_{2k-1} (zeta_power 1): raise digit k with
+    # phase zeta^z q^{z a_k - (a_1+...+a_{k-1})}.  Unit phases cannot cancel
+    # a nonzero amplitude, so nothing is pruned.
     ctx = state.ctx
     if not 1 <= k <= ctx.n:
         raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
     N = ctx.N
+    zeta = ctx.zeta_exp * zeta_power  # the w-exponent of zeta^z
     out = {}
-    for digits, amp in state.amps.items():
+    for digits, amp in state.terms.items():
         head = sum(digits[: k - 1])
         nd = digits[: k - 1] + ((digits[k - 1] + 1) % N,) + digits[k:]
-        # Unit phases cannot cancel a nonzero amplitude, so no re-pruning.
-        out[nd] = amp * ctx.q(-head)
+        out[nd] = amp * ctx.omega(zeta + 2 * (zeta_power * digits[k - 1] - head))
     return QuditState._raw(ctx, out)
+
+
+def apply_even(k: int, state: QuditState) -> QuditState:
+    """Action of c_{2k}: raise digit k, phase q^{-(sum of digits left of k)}."""
+    return _raise_digit(k, state, 0)
 
 
 def apply_odd(k: int, state: QuditState) -> QuditState:
     """Action of c_{2k-1}: like c_{2k} with an extra factor zeta q^{a_k}."""
-    ctx = state.ctx
-    if not 1 <= k <= ctx.n:
-        raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
-    N = ctx.N
-    out = {}
-    for digits, amp in state.amps.items():
-        head = sum(digits[: k - 1])
-        nd = digits[: k - 1] + ((digits[k - 1] + 1) % N,) + digits[k:]
-        out[nd] = amp * ctx.omega(ctx.zeta_exp + 2 * (digits[k - 1] - head))
-    return QuditState._raw(ctx, out)
+    return _raise_digit(k, state, 1)
 
 
 def apply_projector(k: int, state: QuditState) -> QuditState:
@@ -224,7 +169,7 @@ def apply_projector(k: int, state: QuditState) -> QuditState:
     ctx = state.ctx
     if not 1 <= k <= ctx.n:
         raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
-    out = {d: a for d, a in state.amps.items() if d[k - 1] == 0}
+    out = {d: a for d, a in state.terms.items() if d[k - 1] == 0}
     return QuditState._raw(ctx, out)
 
 
@@ -251,19 +196,14 @@ def apply_element(element: AlgebraElement, state: QuditState) -> QuditState:
     if element.ctx != state.ctx:
         raise ContextMismatchError("element and state from different contexts")
     ctx = state.ctx
-    acc: dict[BasisIndex, CycloScalar] = {}
+    pairs = []
     for exps, coeff in element.terms.items():
         cur = state
         for i in range(ctx.num_generators, 0, -1):
             for _ in range(exps[i - 1]):
                 cur = apply_generator(i, cur)
-        for digits, amp in cur.amps.items():
-            contrib = coeff * amp
-            prev = acc.get(digits)
-            acc[digits] = contrib if prev is None else prev + contrib
-    return QuditState._raw(
-        ctx, {d: a for d, a in acc.items() if not a.is_zero()}
-    )
+        pairs.extend((digits, coeff * amp) for digits, amp in cur.terms.items())
+    return QuditState._raw(ctx, sum_terms(pairs))
 
 
 class PhasedPermutation:
@@ -320,15 +260,7 @@ class PhasedPermutation:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers are not defined; dagger() inverts a bijective table")
-        out = PhasedPermutation.identity(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return out
+        return power_by_squaring(self, k, PhasedPermutation.identity(self.ctx), operator.matmul)
 
     def is_bijection(self) -> bool:
         return len(set(self.perm)) == len(self.perm)
@@ -379,11 +311,11 @@ def generator_table(ctx: AlgebraContext, i: int) -> PhasedPermutation:
     phase = []
     for label in position:
         out = apply_generator(i, basis_state(ctx, label))
-        if len(out.amps) != 1:
+        if len(out.terms) != 1:
             raise NotPhasedPermutationError(
-                f"c_{i}|{label}> has {len(out.amps)} terms, expected 1"
+                f"c_{i}|{label}> has {len(out.terms)} terms, expected 1"
             )
-        (target, amp), = out.amps.items()
+        (target, amp), = out.terms.items()
         j = position.get(target)
         if j is None:
             raise NotPhasedPermutationError(f"c_{i}|{label}> lands on {target}, not a basis label")
@@ -401,16 +333,10 @@ def scalar_product(a: QuditState, b: QuditState) -> CycloScalar:
     """Hermitian product, conjugate-linear in the first argument."""
     a._check_ctx(b)
     total = a.ctx.zero()
-    if len(b.amps) < len(a.amps):
-        for digits, amp_b in b.amps.items():
-            amp_a = a.amps.get(digits)
-            if amp_a is not None:
-                total = total + amp_a.conj() * amp_b
-    else:
-        for digits, amp_a in a.amps.items():
-            amp_b = b.amps.get(digits)
-            if amp_b is not None:
-                total = total + amp_a.conj() * amp_b
+    # Loop over the smaller map; its order fixes the order of the sum.
+    for digits in b.terms if len(b.terms) < len(a.terms) else a.terms:
+        if digits in a.terms and digits in b.terms:
+            total = total + a.terms[digits].conj() * b.terms[digits]
     return total
 
 
@@ -442,7 +368,7 @@ def dense_matrix(element: AlgebraElement, cap: int = DENSE_CAP_DEFAULT) -> list[
     mat = [[zero] * dim for _ in range(dim)]
     for j, label in enumerate(labels):
         column = apply_element(element, basis_state(ctx, label))
-        for digits, amp in column.amps.items():
+        for digits, amp in column.terms.items():
             mat[row_of[digits]][j] = amp
     return mat
 
@@ -454,7 +380,7 @@ def state_to_json(state: QuditState) -> dict:
         "n": ctx.n,
         "terms": [
             {"index": list(digits), "amp": amp.to_json()}
-            for digits, amp in sorted(state.amps.items())
+            for digits, amp in sorted(state.terms.items())
         ],
     }
 

@@ -4,8 +4,11 @@ The algebra on generators c_1 .. c_{2n} satisfies c_i c_j = q c_j c_i for
 i < j and c_i^N = 1, so every word equals a phase times the ascending power
 product c_1^{e_1} ... c_{2n}^{e_{2n}} with all exponents in [0, N).
 ``normal_order`` performs the reduction literally, one adjacent swap at a
-time; ``NormalMonomial.__mul__`` uses the equivalent closed-form inversion
-count and is cross-checked against the swap algorithm in the test suite.
+time, and stays as the literal oracle; ``NormalMonomial.__mul__`` and
+``AlgebraElement.adjoint`` use the equivalent closed-form inversion counts
+and are cross-checked against the swap algorithm in the test suite.
+Elements are :class:`gcalg.cyclo.ExactVector` maps from exponent vectors to
+coefficients.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar
+from .cyclo import (
+    AlgebraContext,
+    ContextMismatchError,
+    CycloScalar,
+    ExactVector,
+    power_by_squaring,
+    sum_terms,
+)
 
 __all__ = [
     "AlgebraElement",
@@ -129,7 +139,7 @@ class NormalMonomial:
         return f"NormalMonomial(N={self.ctx.N}, n={self.ctx.n}, {self.phase} * c^{self.exps})"
 
 
-class AlgebraElement:
+class AlgebraElement(ExactVector):
     """A finite sum of ordered power products with exact coefficients.
 
     ``terms`` maps exponent vectors to nonzero scalars; the empty map is the
@@ -137,36 +147,14 @@ class AlgebraElement:
     reduce to zero, so equality of elements is termwise scalar equality.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
-    __hash__ = None
-
-    def __init__(self, ctx: AlgebraContext, terms=None):
-        clean: dict[tuple[int, ...], CycloScalar] = {}
-        if terms:
-            width = ctx.num_generators
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != width or any(not 0 <= e < ctx.N for e in exps):
-                    raise ValueError(f"bad exponent vector {exps} for N={ctx.N}, n={ctx.n}")
-                if coeff.order != ctx.order:
-                    raise ContextMismatchError("coefficient ring does not match the context")
-                if not coeff.is_zero():
-                    acc = clean.get(exps)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff.is_zero():
-                        del clean[exps]
-                    else:
-                        clean[exps] = coeff
-        self.ctx = ctx
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, ctx: AlgebraContext, terms: dict) -> AlgebraElement:
-        x = cls.__new__(cls)
-        x.ctx = ctx
-        x.terms = terms
-        return x
+    def _key(self, exps) -> tuple[int, ...]:
+        ctx = self.ctx
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != ctx.num_generators or any(not 0 <= e < ctx.N for e in exps):
+            raise ValueError(f"bad exponent vector {exps} for N={ctx.N}, n={ctx.n}")
+        return exps
 
     @classmethod
     def zero(cls, ctx: AlgebraContext) -> AlgebraElement:
@@ -178,113 +166,56 @@ class AlgebraElement:
 
     @classmethod
     def from_scalar(cls, ctx: AlgebraContext, value) -> AlgebraElement:
-        s = value if isinstance(value, CycloScalar) else ctx.scalar(value)
-        if s.order != ctx.order:
-            raise ContextMismatchError("scalar ring does not match the context")
-        if s.is_zero():
-            return cls.zero(ctx)
-        return cls._raw(ctx, {(0,) * ctx.num_generators: s})
-
-    @classmethod
-    def from_monomial(cls, mono: NormalMonomial) -> AlgebraElement:
-        return mono.to_element()
+        return cls.one(ctx)._scaled(value)
 
     @classmethod
     def generator(cls, ctx: AlgebraContext, i: int) -> AlgebraElement:
         return NormalMonomial.generator(ctx, i).to_element()
 
-    def _check_ctx(self, other: AlgebraElement):
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("elements from different contexts")
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_ctx(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = total
-        return AlgebraElement._raw(self.ctx, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement._raw(self.ctx, {e: -c for e, c in self.terms.items()})
-
-    def _scaled(self, value) -> AlgebraElement:
-        s = value if isinstance(value, CycloScalar) else self.ctx.scalar(value)
-        if s.order != self.ctx.order:
-            raise ContextMismatchError("scalar ring does not match the context")
-        if s.is_zero():
-            return AlgebraElement.zero(self.ctx)
-        # A nonzero scalar times a nonzero coefficient stays nonzero: the
-        # value ring is a field, so no pruning is needed here.
-        return AlgebraElement._raw(self.ctx, {e: c * s for e, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_ctx(other)
-            ctx = self.ctx
-            N = ctx.N
-            out: dict[tuple[int, ...], CycloScalar] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    cross = _cross_inversions(ea, eb)
-                    key = tuple((a + b) % N for a, b in zip(ea, eb))
-                    contrib = ca * cb * ctx.q(-cross)
-                    acc = out.get(key)
-                    out[key] = contrib if acc is None else acc + contrib
-            return AlgebraElement._raw(
-                self.ctx, {e: c for e, c in out.items() if not c.is_zero()}
+        if not isinstance(other, AlgebraElement):
+            return super().__mul__(other)
+        self._check_ctx(other)
+        ctx = self.ctx
+        N = ctx.N
+        return AlgebraElement._raw(ctx, sum_terms(
+            (
+                tuple((a + b) % N for a, b in zip(ea, eb)),
+                ca * cb * ctx.q(-_cross_inversions(ea, eb)),
             )
-        if isinstance(other, (CycloScalar, int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+            for ea, ca in self.terms.items()
+            for eb, cb in other.terms.items()
+        ))
 
-    def __rmul__(self, other):
-        if isinstance(other, (CycloScalar, int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+    __rmul__ = ExactVector.__rmul__
 
     def __pow__(self, k: int) -> AlgebraElement:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return (self ** (-k)).adjoint()
-        out = AlgebraElement.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power_by_squaring(self, k, AlgebraElement.one(self.ctx))
 
     def adjoint(self) -> AlgebraElement:
-        """Conjugate-linear antihomomorphism: reverses products, c_i -> c_i^{N-1}."""
+        """Conjugate-linear antihomomorphism: reverses products, c_i -> c_i^{N-1}.
+
+        The adjoint of c * c_1^{e_1} ... c_{2n}^{e_{2n}} is
+        conj(c) * c_{2n}^{f_{2n}} ... c_1^{f_1} with f_i = -e_i mod N.  Putting
+        that descending product in order swaps every pair of letters from
+        different blocks once, each swap a factor q^{-1}: sum_{i<j} f_i f_j =
+        (S^2 - sum_i f_i^2) / 2 swaps with S = sum_i f_i.  ``normal_order`` of
+        the spelled-out word gives the same phase.  Distinct terms have
+        distinct adjoint exponents, so nothing is summed or pruned.
+        """
         ctx = self.ctx
         N = ctx.N
         out: dict[tuple[int, ...], CycloScalar] = {}
         for exps, coeff in self.terms.items():
-            letters: list[int] = []
-            for i in range(ctx.num_generators, 0, -1):
-                letters.extend([i] * ((N - exps[i - 1]) % N))
-            nm = normal_order(Word(ctx, tuple(letters)))
-            contrib = coeff.conj() * nm.phase
-            acc = out.get(nm.exps)
-            out[nm.exps] = contrib if acc is None else acc + contrib
-        return AlgebraElement._raw(
-            ctx, {e: c for e, c in out.items() if not c.is_zero()}
-        )
+            f = tuple(-e % N for e in exps)
+            total = sum(f)
+            swaps = (total * total - sum(x * x for x in f)) // 2
+            out[f] = coeff.conj() * ctx.q(-swaps)
+        return AlgebraElement._raw(ctx, out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloScalar)):
@@ -295,10 +226,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
-        return f"AlgebraElement(N={self.ctx.N}, n={self.ctx.n}, {{{body}}})"
 
 
 def projector_element(ctx: AlgebraContext, k: int) -> AlgebraElement:

@@ -75,6 +75,43 @@ def bubble_product_oracle(a: NormalMonomial, b: NormalMonomial) -> NormalMonomia
     return NormalMonomial(ctx, a.phase * b.phase * reduced.phase, reduced.exps)
 
 
+def adjoint_oracle(x: AlgebraElement) -> AlgebraElement:
+    """Independent adjoint: spell each term's adjoint letter by letter, bubble-reduce it.
+
+    The adjoint of c * c_1^{e_1} ... c_{2n}^{e_{2n}} is conj(c) times the
+    descending word c_{2n}^{N-e_{2n}} ... c_1^{N-e_1}.
+    """
+    ctx = x.ctx
+    N = ctx.N
+    out = AlgebraElement.zero(ctx)
+    for exps, coeff in x.terms.items():
+        letters: list[int] = []
+        for i in range(ctx.num_generators, 0, -1):
+            letters.extend([i] * ((N - exps[i - 1]) % N))
+        nm = normal_order(Word(ctx, tuple(letters)))
+        out = out + AlgebraElement(ctx, {nm.exps: coeff.conj() * nm.phase})
+    return out
+
+
+def random_unit_element(rng, ctx: AlgebraContext, max_terms: int = 5) -> AlgebraElement:
+    """A sum of terms w^k * c^e; repeated exponent vectors merge into sums of roots."""
+    x = AlgebraElement.zero(ctx)
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randrange(ctx.N) for _ in range(ctx.num_generators))
+        x = x + AlgebraElement(ctx, {exps: ctx.omega(rng.randrange(ctx.order))})
+    return x
+
+
+def product_oracle(x: AlgebraElement, y: AlgebraElement) -> dict:
+    """Terms of x * y from monomial products, each key's sum pruned only when complete."""
+    sums = {}
+    for ea, ca in x.terms.items():
+        for eb, cb in y.terms.items():
+            m = NormalMonomial(x.ctx, ca, ea) * NormalMonomial(y.ctx, cb, eb)
+            sums[m.exps] = sums[m.exps] + m.phase if m.exps in sums else m.phase
+    return {exps: c for exps, c in sums.items() if not c.is_zero()}
+
+
 def word_equals_element_everywhere(word: Word, element: AlgebraElement) -> bool:
     """Letter-by-letter action agrees with the element on every basis state."""
     ctx = word.ctx

@@ -102,6 +102,50 @@ class TestEval:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: syntax error at 1:")
 
+    @pytest.mark.parametrize("postfix", ["^1", "'"])
+    def test_long_postfix_chain_exits_0(self, postfix, capsys):
+        code, out, _ = run(["eval", "--N", "3", "--n", "1", "c[1]" + postfix * 3000], capsys)
+        assert code == 0
+        assert out == "c[1]\n"
+
+    def test_overlong_literal_exits_1(self, capsys):
+        code, out, err = run(["eval", "--N", "3", "--n", "1", "c[1]^" + "9" * 5000], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: syntax error at 1:6: ")
+
+    @pytest.mark.parametrize(
+        "argv,cause",
+        [
+            (["eval", "--N", "2", "--format", "json", "(c[1]+c[2])^10000"], "float"),
+            (["eval", "--N", "2", "(c[1]+c[2])^100000"], "digits"),
+            (["eval", "--N", "3", "(2 c[1])^20000"], "digits"),
+            (["eval", "--N", "2", "--format", "json", "<0|(c[1]+c[2])^10000|0>"], "float"),
+            (["eval", "--N", "2", "(c[1]+c[2])^100000 |0>"], "digits"),
+            (["matrix", "--N", "2", "--format", "csv", "(c[1]+c[2])^10000"], "float"),
+            (["matrix", "--N", "2", "(c[1]+c[2])^100000"], "digits"),
+        ],
+    )
+    def test_result_too_large_to_print_exits_1(self, argv, cause, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: result too large to print: ") and cause in err
+
+    def test_digit_limit_is_exact(self, capsys):
+        widest = "1" + "0" * 4299  # 4300 digits, Python's default int/str limit
+        code, out, _ = run(["eval", "--N", "2", widest], capsys)
+        assert code == 0 and out == widest + "\n"
+        code, out, err = run(["eval", "--N", "2", widest + " * 10"], capsys)
+        assert code == 1 and out == "" and "more than 4300 digits" in err
+
+    def test_large_result_below_the_limits_prints(self, capsys):
+        # (c_1 + c_2)^2 = 2 at N = 2: 2^5000 has 1506 digits.
+        code, out, _ = run(["eval", "--N", "2", "(c[1]+c[2])^10000"], capsys)
+        assert code == 0
+        assert out == str(2**5000) + "\n"
+
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)
         assert code == 1

@@ -1,8 +1,11 @@
 """Tests for the expression parser, evaluator, and canonical printer."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcalg import (
     MAX_PAREN_DEPTH,
@@ -115,6 +118,38 @@ class TestParsing:
         limit = "(" * MAX_PAREN_DEPTH + "c[1]" + ")" * MAX_PAREN_DEPTH
         assert eval_element(parse(limit), ctx) == eval_element(parse("c[1]"), ctx)
 
+    @pytest.mark.parametrize(
+        "template",
+        ["c[{}]", "c[1]^{}", "c[1]^-{}", "{} c[1]", "-{}", "1/{}", "|{}>", "<{}|0>",
+         "<0|{}>", "<0,{}|c[1]|0,0>"],
+    )
+    def test_overlong_literal_is_a_positioned_error(self, template):
+        # int() refuses literals past Python's int/str limit (4300 digits by
+        # default); the parser must report them, not leak a ValueError.
+        literal = "9" * (sys.get_int_max_str_digits() + 1)
+        text = template.format(literal)
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert 0 <= info.value.pos <= len(text)
+        assert info.value.pos == text.index(literal)
+
+    def test_non_ascii_digits_are_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse("c[\u00b2]")
+        assert info.value.pos == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "c[", "E[", "]", "zeta", "q", "Omega", "(", ")", "|", "<", ">", ",", "^", "'",
+        "+", "-", "*", "/", " ", "0", "1", "2", "17", "9" * 4301, "0" * 5000,
+    ]), max_size=40))
+    def test_any_token_string_parses_or_raises_positioned_error(self, tokens):
+        text = "".join(tokens)
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.pos <= len(text)
+
 
 class TestEvaluation:
     def test_unitarity_sandwich(self):
@@ -162,6 +197,12 @@ class TestEvaluation:
         c3 = AlgebraElement.generator(ctx, 3)
         assert inverse == c3.adjoint()
         assert c3 * inverse == AlgebraElement.one(ctx)
+
+    @pytest.mark.parametrize("postfix", ["^1", "'"])
+    def test_long_postfix_chains_evaluate_without_recursion(self, postfix):
+        ctx = AlgebraContext(3, 1)
+        c1 = AlgebraElement.generator(ctx, 1)
+        assert eval_element(parse("c[1]" + postfix * 3000), ctx) == c1
 
     def test_kind_mismatches(self):
         ctx = AlgebraContext(3, 2)

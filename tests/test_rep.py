@@ -58,6 +58,12 @@ class TestStates:
         s = basis_state(ctx, (1, 0)) - basis_state(ctx, (1, 0))
         assert s.amps == {}
 
+    def test_amps_is_a_read_only_alias_of_terms(self):
+        s = basis_state(AlgebraContext(3, 2), (1, 2))
+        assert s.amps is s.terms
+        with pytest.raises(AttributeError):
+            s.amps = {}
+
 
 class TestGeneratorAction:
     def test_even_on_ground(self):

@@ -12,12 +12,16 @@ from gcalg import (
     Word,
     dense_matrix,
     normal_order,
+    print_canonical,
     projector_element,
 )
 from helpers import (
+    adjoint_oracle,
     bubble_product_oracle,
+    product_oracle,
     random_element,
     random_monomial,
+    random_unit_element,
     random_word,
     word_equals_element_everywhere,
 )
@@ -180,6 +184,27 @@ class TestAdjoint:
                 assert (x * y).adjoint() == y.adjoint() * x.adjoint()
                 assert x.adjoint().adjoint() == x
 
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            AlgebraContext(2, 2, 1),
+            AlgebraContext(2, 2, 3),
+            AlgebraContext(4, 2, 1),
+            AlgebraContext(4, 2, 5),
+            AlgebraContext(3, 2),
+            AlgebraContext(5, 1),
+        ],
+        ids=lambda c: f"N{c.N}n{c.n}e{c.zeta_exp}",
+    )
+    def test_closed_form_matches_bubble_oracle(self, ctx):
+        # The closed-form swap count must give the oracle's value and stored form.
+        rng = random.Random(419 + 10 * ctx.N + ctx.zeta_exp)
+        for _ in range(40):
+            x = random_element(rng, ctx, max_terms=6)
+            got, want = x.adjoint(), adjoint_oracle(x)
+            assert got == want
+            assert repr(got) == repr(want)
+
     def test_adjoint_is_the_dense_conjugate_transpose(self):
         rng = random.Random(418)
         for ctx in (AlgebraContext(2, 2), AlgebraContext(3, 2), AlgebraContext(4, 1, 5)):
@@ -200,6 +225,25 @@ class TestElements:
         total = x + (-1) * x
         assert total == AlgebraElement.zero(ctx)
         assert total.terms == {}
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [AlgebraContext(3, 1), AlgebraContext(3, 2), AlgebraContext(6, 1, 1), AlgebraContext(6, 1, 7)],
+        ids=lambda c: f"N{c.N}n{c.n}e{c.zeta_exp}",
+    )
+    def test_products_keep_stored_forms(self, ctx):
+        # Stored coefficient maps are unreduced: a key's sum must be pruned
+        # only once complete, or a vanishing partial sum changes the print.
+        rng = random.Random(420 + 10 * ctx.N + ctx.zeta_exp)
+        for _ in range(150):
+            x = random_unit_element(rng, ctx)
+            y = random_unit_element(rng, ctx)
+            got = (x * y).terms
+            want = product_oracle(x, y)
+            assert list(got) == list(want)
+            for exps, coeff in got.items():
+                assert list(coeff.coeffs.items()) == list(want[exps].coeffs.items())
+            assert print_canonical(x * y) == print_canonical(AlgebraElement(ctx, want))
 
     def test_multiplicative_identity(self):
         ctx = AlgebraContext(3, 2)
