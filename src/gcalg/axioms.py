@@ -7,13 +7,18 @@ state, so operator identities are checked on its table
 (:class:`gcalg.rep.PhasedPermutation`): a target position and a phase
 exponent per basis state, read off ``rep.apply_generator`` on every basis
 state.  Products, powers and adjoints of tables are integer arithmetic, and
-two operators agree iff their tables are equal.  ``run_suite`` builds the
-2n tables once per call, and only when a selected check needs them; a
-generator that is not such a table fails those checks with the offending
-basis state as counterexample.  The homomorphism check keeps a sparse
-oracle: each random word is applied letter by letter to sparse basis states
-and compared with the table of its normal form.  The ground-state and
-projector identities and the orthonormal basis act on sparse states.
+two operators agree iff their tables are equal; a failing identity names the
+first basis state where the two sides differ.  The table checks (unitarity,
+order, commutation, power formula, homomorphism) take the 2n generator
+tables as an optional last argument and read them off the representation
+when it is omitted; ``run_suite`` builds them once per call, only when a
+selected check needs them, and passes them to each of those checks.  The
+tables change no result: a generator that is not such a table fails every
+table check with the offending basis state as counterexample.  The
+homomorphism check keeps a sparse oracle: each random word is applied letter
+by letter to sparse basis states and compared with the table of its normal
+form.  The ground-state and projector identities and the orthonormal basis
+act on sparse states.
 
 Checked, for every context:
 
@@ -33,6 +38,8 @@ Checked, for every context:
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -85,12 +92,29 @@ def _state_text(state: rep.QuditState) -> str:
     )
 
 
-def _passed(ctx: AlgebraContext, name: str, seed: int | None = None) -> CheckReport:
-    return CheckReport(ctx, name, True, None, seed)
+def _differs(what: str, label, lhs: rep.QuditState, rhs: rep.QuditState) -> str:
+    return f"{what} on |{label}>: {_state_text(lhs)} differs from {_state_text(rhs)}"
 
 
-def _failed(ctx: AlgebraContext, name: str, detail: str, seed: int | None = None) -> CheckReport:
-    return CheckReport(ctx, name, False, detail, seed)
+def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str) -> str | None:
+    """None when two tables agree, else both columns at the first basis state where they differ."""
+    if lhs == rhs:
+        return None
+    j = next(
+        j for j in range(ctx.dim)
+        if lhs.perm[j] != rhs.perm[j] or lhs.phase[j] != rhs.phase[j]
+    )
+    return _differs(what, rep.basis_label(ctx, j), lhs.column(j), rhs.column(j))
+
+
+def _tables(ctx: AlgebraContext, tables):
+    """``tables``, or when None the tables of c_1 .. c_2n read off the representation.
+
+    Raises NotPhasedPermutationError naming the first column that is not +-w^k |b>.
+    """
+    if tables is None:
+        tables = [rep.generator_table(ctx, i) for i in range(1, ctx.num_generators + 1)]
+    return tables
 
 
 def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
@@ -99,37 +123,21 @@ def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
     name = "zeta_root"
     zeta = ctx.zeta()
     if not zeta * zeta == ctx.q():
-        return _failed(ctx, name, f"zeta^2 = {zeta * zeta} differs from q = {ctx.q()}")
+        return CheckReport(ctx, name, False, f"zeta^2 = {zeta * zeta} differs from q = {ctx.q()}")
     power = zeta ** (N * N)
     if not power == 1:
-        return _failed(ctx, name, f"zeta^(N^2) = {power} differs from 1")
+        return CheckReport(ctx, name, False, f"zeta^(N^2) = {power} differs from 1")
     if N % 2:
         rejected = ctx.omega(1) ** (N * N)
         if not rejected == -1:
-            return _failed(
-                ctx, name,
+            return CheckReport(
+                ctx, name, False,
                 f"rejected root (+exp(i*pi/N)) has N^2-th power {rejected}, expected -1",
             )
-    return _passed(ctx, name)
+    return CheckReport(ctx, name, True)
 
 
-def _generator_tables(ctx: AlgebraContext):
-    """Tables of c_1 .. c_2n, or None and the first column that is not +-w^k |b>."""
-    try:
-        tables = [rep.generator_table(ctx, i) for i in range(1, ctx.num_generators + 1)]
-    except rep.NotPhasedPermutationError as exc:
-        return None, str(exc)
-    return tables, None
-
-
-def _first_difference(a: rep.PhasedPermutation, b: rep.PhasedPermutation) -> int:
-    return next(
-        j for j in range(len(a.perm))
-        if a.perm[j] != b.perm[j] or a.phase[j] != b.phase[j]
-    )
-
-
-def check_unitarity(ctx: AlgebraContext) -> CheckReport:
+def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
     """Every generator c satisfies c c^dagger = c^dagger c = 1.
 
     Each generator's table must permute the basis labels with root-of-unity
@@ -137,106 +145,78 @@ def check_unitarity(ctx: AlgebraContext) -> CheckReport:
     the check also asserts that the conjugate transpose coincides with the
     (N-1)-th power of c.
     """
-    return _check_unitarity(ctx, *_generator_tables(ctx))
-
-
-def _check_unitarity(ctx, tables, problem) -> CheckReport:
     name = "unitarity"
-    if tables is None:
-        return _failed(ctx, name, problem)
+    try:
+        tables = _tables(ctx, tables)
+    except rep.NotPhasedPermutationError as exc:
+        return CheckReport(ctx, name, False, str(exc))
     for i, table in enumerate(tables, start=1):
         if not table.is_bijection():
-            return _failed(ctx, name, f"c_{i} does not permute the basis labels")
-        power = table ** (ctx.N - 1)
-        dagger = table.dagger()
-        if power != dagger:
-            j = _first_difference(power, dagger)
-            return _failed(
-                ctx, name,
-                f"c_{i}^(N-1)|{rep.basis_label(ctx, j)}> = {_state_text(power.column(j))} "
-                f"differs from the conjugate transpose column {_state_text(dagger.column(j))}",
-            )
-    return _passed(ctx, name)
+            return CheckReport(ctx, name, False, f"c_{i} does not permute the basis labels")
+        what = f"c_{i}^(N-1) vs c_{i}^dagger"
+        if detail := _mismatch(ctx, table ** (ctx.N - 1), table.dagger(), what):
+            return CheckReport(ctx, name, False, detail)
+    return CheckReport(ctx, name, True)
 
 
-def check_order(ctx: AlgebraContext) -> CheckReport:
+def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
     """Every generator satisfies c^N = 1 on every basis state."""
-    return _check_order(ctx, *_generator_tables(ctx))
-
-
-def _check_order(ctx, tables, problem) -> CheckReport:
     name = "order"
-    if tables is None:
-        return _failed(ctx, name, problem)
+    try:
+        tables = _tables(ctx, tables)
+    except rep.NotPhasedPermutationError as exc:
+        return CheckReport(ctx, name, False, str(exc))
     identity = rep.PhasedPermutation.identity(ctx)
     for i, table in enumerate(tables, start=1):
-        power = table ** ctx.N
-        if power != identity:
-            j = _first_difference(power, identity)
-            label = rep.basis_label(ctx, j)
-            return _failed(
-                ctx, name,
-                f"c_{i}^N|{label}> = {_state_text(power.column(j))} differs from |{label}>",
-            )
-    return _passed(ctx, name)
+        if detail := _mismatch(ctx, table ** ctx.N, identity, f"c_{i}^N vs 1"):
+            return CheckReport(ctx, name, False, detail)
+    return CheckReport(ctx, name, True)
 
 
-def check_commutation(ctx: AlgebraContext) -> CheckReport:
+def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
     """c_i c_j = q c_j c_i for every pair i < j, on every basis state."""
-    return _check_commutation(ctx, *_generator_tables(ctx))
-
-
-def _check_commutation(ctx, tables, problem) -> CheckReport:
     name = "commutation"
-    if tables is None:
-        return _failed(ctx, name, problem)
-    for i in range(1, ctx.num_generators + 1):
-        for j in range(i + 1, ctx.num_generators + 1):
-            lhs = tables[i - 1] @ tables[j - 1]
-            rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
-            if lhs != rhs:
-                p = _first_difference(lhs, rhs)
-                return _failed(
-                    ctx, name,
-                    f"pair ({i},{j}) on |{rep.basis_label(ctx, p)}>: c_{i}c_{j} gives "
-                    f"{_state_text(lhs.column(p))} but q c_{j}c_{i} gives "
-                    f"{_state_text(rhs.column(p))}",
-                )
-    return _passed(ctx, name)
+    try:
+        tables = _tables(ctx, tables)
+    except rep.NotPhasedPermutationError as exc:
+        return CheckReport(ctx, name, False, str(exc))
+    for i, j in itertools.combinations(range(1, ctx.num_generators + 1), 2):
+        lhs = tables[i - 1] @ tables[j - 1]
+        rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
+        if detail := _mismatch(ctx, lhs, rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"):
+            return CheckReport(ctx, name, False, detail)
+    return CheckReport(ctx, name, True)
+
+
+def _zeta_identity(ctx: AlgebraContext, name: str, cases) -> CheckReport:
+    # c_{2k-1} v = zeta c_{2k} v for every case (k, label, v), on sparse states.
+    zeta = ctx.zeta()
+    for k, label, state in cases:
+        lhs = rep.apply_odd(k, state)
+        rhs = zeta * rep.apply_even(k, state)
+        if not lhs == rhs:
+            return CheckReport(
+                ctx, name, False,
+                f"k={k} on |{label}>: c_{2 * k - 1} gives {_state_text(lhs)}, "
+                f"zeta c_{2 * k} gives {_state_text(rhs)}",
+            )
+    return CheckReport(ctx, name, True)
 
 
 def check_ground_identity(ctx: AlgebraContext) -> CheckReport:
     """c_{2k-1}|0..0> = zeta c_{2k}|0..0> for every k."""
-    name = "ground_identity"
-    zeta = ctx.zeta()
     ground = rep.ground_state(ctx)
-    for k in range(1, ctx.n + 1):
-        lhs = rep.apply_odd(k, ground)
-        rhs = zeta * rep.apply_even(k, ground)
-        if not lhs == rhs:
-            return _failed(
-                ctx, name,
-                f"k={k}: c_{2 * k - 1}|0..0> = {_state_text(lhs)} differs from "
-                f"zeta c_{2 * k}|0..0> = {_state_text(rhs)}",
-            )
-    return _passed(ctx, name)
+    label = (0,) * ctx.n
+    return _zeta_identity(ctx, "ground_identity", ((k, label, ground) for k in range(1, ctx.n + 1)))
 
 
 def check_projector_identity(ctx: AlgebraContext) -> CheckReport:
     """c_{2k-1} E_k = zeta c_{2k} E_k as operators, on every basis state."""
-    name = "projector_identity"
-    zeta = ctx.zeta()
-    for k in range(1, ctx.n + 1):
-        for digits in rep.basis_indices(ctx):
-            projected = rep.apply_projector(k, rep.basis_state(ctx, digits))
-            lhs = rep.apply_odd(k, projected)
-            rhs = zeta * rep.apply_even(k, projected)
-            if not lhs == rhs:
-                return _failed(
-                    ctx, name,
-                    f"k={k} on |{digits}>: {_state_text(lhs)} differs from {_state_text(rhs)}",
-                )
-    return _passed(ctx, name)
+    return _zeta_identity(ctx, "projector_identity", (
+        (k, digits, rep.apply_projector(k, rep.basis_state(ctx, digits)))
+        for k in range(1, ctx.n + 1)
+        for digits in rep.basis_indices(ctx)
+    ))
 
 
 def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
@@ -252,18 +232,19 @@ def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
     for digits in rep.basis_indices(ctx):
         v = rep.ordered_basis_vector(ctx, digits)
         if len(v.amps) != 1:
-            return _failed(ctx, name, f"basis vector {digits} has {len(v.amps)} terms")
+            return CheckReport(ctx, name, False, f"basis vector {digits} has {len(v.amps)} terms")
         (target, amp), = v.amps.items()
         if not amp.conj() * amp == 1:
-            return _failed(ctx, name, f"basis vector {digits} has non-unit amplitude {amp}")
+            detail = f"basis vector {digits} has non-unit amplitude {amp}"
+            return CheckReport(ctx, name, False, detail)
         if target in seen:
             other, other_amp = seen[target]
-            return _failed(
-                ctx, name,
+            return CheckReport(
+                ctx, name, False,
                 f"Gram[{other}][{digits}] = {other_amp.conj() * amp}, expected 0",
             )
         seen[target] = (digits, amp)
-    return _passed(ctx, name)
+    return CheckReport(ctx, name, True)
 
 
 def _odd_power_table(ctx: AlgebraContext, k: int, m: int) -> rep.PhasedPermutation:
@@ -281,33 +262,25 @@ def _odd_power_table(ctx: AlgebraContext, k: int, m: int) -> rep.PhasedPermutati
     return rep.PhasedPermutation(ctx, perm, phase)
 
 
-def check_power_formula(ctx: AlgebraContext) -> CheckReport:
+def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
     """m-fold application of c_{2k-1} matches its closed form for m in [0, 2N].
 
     The closed form on |a_1..a_n> is
     zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>.
     """
-    return _check_power_formula(ctx, *_generator_tables(ctx))
-
-
-def _check_power_formula(ctx, tables, problem) -> CheckReport:
     name = "power_formula"
-    if tables is None:
-        return _failed(ctx, name, problem)
+    try:
+        tables = _tables(ctx, tables)
+    except rep.NotPhasedPermutationError as exc:
+        return CheckReport(ctx, name, False, str(exc))
     for k in range(1, ctx.n + 1):
         power = rep.PhasedPermutation.identity(ctx)
         for m in range(0, 2 * ctx.N + 1):
-            expected = _odd_power_table(ctx, k, m)
-            if power != expected:
-                j = _first_difference(power, expected)
-                return _failed(
-                    ctx, name,
-                    f"k={k}, m={m} on |{rep.basis_label(ctx, j)}>: "
-                    f"{_state_text(power.column(j))} differs from "
-                    f"{_state_text(expected.column(j))}",
-                )
+            what = f"c_{2 * k - 1}^{m} vs its closed form"
+            if detail := _mismatch(ctx, power, _odd_power_table(ctx, k, m), what):
+                return CheckReport(ctx, name, False, detail)
             power = tables[2 * k - 2] @ power
-    return _passed(ctx, name)
+    return CheckReport(ctx, name, True)
 
 
 def _monomial_table(ctx: AlgebraContext, tables, monomial) -> rep.PhasedPermutation:
@@ -324,6 +297,7 @@ def check_homomorphism(
     trials: int = HOMOMORPHISM_TRIALS_DEFAULT,
     max_len: int = HOMOMORPHISM_MAX_LEN_DEFAULT,
     seed: int = 0,
+    tables=None,
 ) -> CheckReport:
     """Seeded random words act identically letter-by-letter and in normal form.
 
@@ -331,15 +305,13 @@ def check_homomorphism(
     normal-form side is the table of ``normal_order(word)``, composed from
     the generator tables.
     """
-    return _check_homomorphism(ctx, *_generator_tables(ctx), trials, max_len, seed)
-
-
-def _check_homomorphism(ctx, tables, problem, trials, max_len, seed) -> CheckReport:
     name = "homomorphism"
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if tables is None:
-        return _failed(ctx, name, problem, seed)
+    try:
+        tables = _tables(ctx, tables)
+    except rep.NotPhasedPermutationError as exc:
+        return CheckReport(ctx, name, False, str(exc), seed)
     rng = random.Random(seed)
     top = ctx.num_generators
     for _ in range(trials):
@@ -350,13 +322,10 @@ def _check_homomorphism(ctx, tables, problem, trials, max_len, seed) -> CheckRep
             direct = rep.apply_word(word, rep.basis_state(ctx, digits))
             via_normal = table.column(j)
             if not direct == via_normal:
-                return _failed(
-                    ctx, name,
-                    f"word {list(word.letters)} on |{digits}>: letterwise "
-                    f"{_state_text(direct)} differs from normal form {_state_text(via_normal)}",
-                    seed,
-                )
-    return _passed(ctx, name, seed)
+                what = f"word {list(word.letters)} vs its normal form"
+                detail = _differs(what, digits, direct, via_normal)
+                return CheckReport(ctx, name, False, detail, seed)
+    return CheckReport(ctx, name, True, None, seed)
 
 
 ALL_CHECKS = (
@@ -386,20 +355,23 @@ def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckR
         unknown = [name for name in selection if name not in ALL_CHECKS]
         if unknown:
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
-    tables, problem = (
-        _generator_tables(ctx) if _TABLE_CHECKS.intersection(selection) else (None, None)
-    )
+    tables = None
+    if _TABLE_CHECKS.intersection(selection):
+        # On failure each table check reads the tables again and reports the column.
+        with contextlib.suppress(rep.NotPhasedPermutationError):
+            tables = _tables(ctx, None)
+    # Each check is looked up when it runs, so a wrapper installed later is called.
     runners = {
         "zeta_root": lambda: check_zeta_root(ctx.N, ctx.zeta_exp),
-        "unitarity": lambda: _check_unitarity(ctx, tables, problem),
-        "order": lambda: _check_order(ctx, tables, problem),
-        "commutation": lambda: _check_commutation(ctx, tables, problem),
+        "unitarity": lambda: check_unitarity(ctx, tables),
+        "order": lambda: check_order(ctx, tables),
+        "commutation": lambda: check_commutation(ctx, tables),
         "ground_identity": lambda: check_ground_identity(ctx),
         "projector_identity": lambda: check_projector_identity(ctx),
         "orthonormal_basis": lambda: check_orthonormal_basis(ctx),
-        "power_formula": lambda: _check_power_formula(ctx, tables, problem),
-        "homomorphism": lambda: _check_homomorphism(
-            ctx, tables, problem, HOMOMORPHISM_TRIALS_DEFAULT, HOMOMORPHISM_MAX_LEN_DEFAULT, seed
+        "power_formula": lambda: check_power_formula(ctx, tables),
+        "homomorphism": lambda: check_homomorphism(
+            ctx, HOMOMORPHISM_TRIALS_DEFAULT, HOMOMORPHISM_MAX_LEN_DEFAULT, seed, tables
         ),
     }
     return [runners[name]() for name in ALL_CHECKS if name in selection]

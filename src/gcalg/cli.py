@@ -76,35 +76,27 @@ def _write(args, text: str) -> int:
     return 0
 
 
+# The largest --N accepted.  The first zero test in a context builds Phi_2N by
+# exact polynomial division over the divisors of 2N, whose cost grows fast
+# with N: at N = 255 one 4-term zero test takes about 0.06 s, at N = 1001 1 s.
+MAX_N = 256
+
 # Float approximations (JSON "approx", CSV cells) are refused for coefficients
 # of magnitude 2^FLOAT_BITS or more, so every sum in to_complex stays finite.
 FLOAT_BITS = 1000
 
 
-class UnprintableError(ValueError):
-    """A coefficient of the result is too large to write in the chosen format."""
-
-
 def _check_printable(scalars, fmt: str) -> None:
     """Raise UnprintableError when some coefficient of ``scalars`` cannot be written.
 
-    Text and JSON write exact coefficients as decimal numerators and
-    denominators, which Python refuses past its int/str conversion limit;
+    Text and JSON write exact coefficients, bounded by ``expr.check_digit_limit``;
     JSON and CSV also write float approximations.
     """
     values = [v for scalar in scalars for v in scalar.coeffs.values()]
-    # A limit of 0, or no getter (before 3.10.7), means Python has none.
-    limit = getattr(sys, "get_int_max_str_digits", int)() if fmt != "csv" else 0
-    longest = max((max(abs(v.numerator), v.denominator) for v in values), default=0)
-    # Below 2^(3 limit) = 8^limit a number is short enough; 10**limit is
-    # only worth computing above that.
-    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
-        raise UnprintableError(
-            f"result too large to print: a coefficient has more than {limit} digits, "
-            "Python's int/str limit"
-        )
+    if fmt != "csv":
+        expr.check_digit_limit(values)
     if fmt != "text" and any(abs(v.numerator) >> FLOAT_BITS >= v.denominator for v in values):
-        raise UnprintableError(
+        raise expr.UnprintableError(
             f"result too large to print: a coefficient of magnitude 2^{FLOAT_BITS} "
             "or more has no float approximation"
         )
@@ -204,6 +196,8 @@ def cmd_gram(args, parser) -> int:
 
 
 def _context(args, parser) -> AlgebraContext:
+    if args.N > MAX_N:
+        parser.error(f"--N {args.N} exceeds the largest supported order {MAX_N}")
     try:
         return AlgebraContext.from_sign(args.N, args.n, args.zeta_sign)
     except ValueError as exc:
@@ -221,7 +215,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except (expr.ParseError, expr.EvalError, DenseCapError, UnprintableError) as exc:
+    except (expr.ParseError, expr.EvalError, DenseCapError, expr.UnprintableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

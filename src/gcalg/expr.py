@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar
+from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar, power_by_squaring
 from .rep import QuditState, apply_element, basis_state, scalar_product
 from .symbolic import AlgebraElement, projector_element
 
@@ -35,6 +35,8 @@ __all__ = [
     "MAX_PAREN_DEPTH",
     "Node",
     "ParseError",
+    "UnprintableError",
+    "check_digit_limit",
     "eval_element",
     "eval_scalar",
     "eval_state",
@@ -63,6 +65,28 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     """An expression parsed but cannot be evaluated in the given context."""
+
+
+class UnprintableError(ValueError):
+    """A coefficient of the result is too large to write in the chosen format."""
+
+
+def check_digit_limit(values) -> None:
+    """Raise UnprintableError when a Fraction in ``values`` is too long to print.
+
+    Exact output writes numerators and denominators in decimal, which Python
+    refuses past its int/str conversion limit.
+    """
+    # A limit of 0, or no getter (before 3.10.7), means Python has none.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    longest = max((max(abs(v.numerator), v.denominator) for v in values), default=0)
+    # Below 2^(3 limit) = 8^limit a number is short enough; 10**limit is
+    # only worth computing above that.
+    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
+        raise UnprintableError(
+            f"result too large to print: a coefficient has more than {limit} digits, "
+            "Python's int/str limit"
+        )
 
 
 @dataclass
@@ -378,7 +402,7 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
             node = node.children[0]
         out = _eval_operator(node, ctx)
         for op in reversed(chain):
-            out = out ** op.value if op.kind == "pow" else out.adjoint()
+            out = _power(out, op.value) if op.kind == "pow" else out.adjoint()
         return out
     if kind == "product":
         out = AlgebraElement.one(ctx)
@@ -391,6 +415,20 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
             out = out + _eval_operator(child, ctx)
         return out
     raise EvalError(f"expected an operator expression, found a {kind} node")
+
+
+def _printable_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    out = a * b
+    check_digit_limit([v for coeff in out.terms.values() for v in coeff.coeffs.values()])
+    return out
+
+
+def _power(x: AlgebraElement, k: int) -> AlgebraElement:
+    # x^k as AlgebraElement.__pow__ forms it, but checked after every product:
+    # coefficients can double in length per squaring, so a huge k would
+    # otherwise run without bound on a result that could never be printed.
+    out = power_by_squaring(x, abs(k), AlgebraElement.one(x.ctx), _printable_product)
+    return out.adjoint() if k < 0 else out
 
 
 def _eval_label(node: Node, ctx: AlgebraContext) -> QuditState:

@@ -12,7 +12,7 @@ from gcalg import (
     run_suite,
     suite_report,
 )
-from gcalg import rep
+from gcalg import axioms, rep
 
 
 class TestZetaRootCheck:
@@ -127,3 +127,86 @@ class TestFailureReporting:
         monkeypatch.setattr(rep, "generator_table", None)
         names = [r.name for r in run_suite(ctx, ["zeta_root", "ground_identity"])]
         assert names == ["zeta_root", "ground_identity"]
+
+
+# Faults that run_suite and the public checks must report alike: none, a sign
+# flip in apply_odd (tables build, identities fail), and a doubled apply_even
+# (tables cannot be built, so each table check reports the column).
+FAULTS = {
+    "none": (None, None),
+    "odd_sign_flip": ("apply_odd", lambda original: lambda k, s: -1 * original(k, s)),
+    "doubled_even": ("apply_even", lambda original: lambda k, s: 2 * original(k, s)),
+}
+
+SUITE_CONTEXTS = [(3, 2, None)] + [(4, 2, exp) for exp in admissible_zeta_exps(4)]
+
+
+def _each_check_alone(ctx):
+    return [
+        axioms.check_zeta_root(ctx.N, ctx.zeta_exp) if name == "zeta_root"
+        else getattr(axioms, "check_" + name)(ctx)
+        for name in ALL_CHECKS
+    ]
+
+
+class TestOneBodyPerCheck:
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("N,n,zeta_exp", SUITE_CONTEXTS)
+    def test_suite_equals_each_public_check_alone(self, N, n, zeta_exp, fault, monkeypatch):
+        ctx = AlgebraContext(N, n, zeta_exp)
+        target, mutant = FAULTS[fault]
+        if target:
+            monkeypatch.setattr(rep, target, mutant(getattr(rep, target)))
+        reports = run_suite(ctx)
+        assert reports == _each_check_alone(ctx)
+        assert all(r.passed for r in reports) == (fault == "none")
+
+    def test_whole_suite_builds_each_generator_table_once(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        built = []
+        original = rep.generator_table
+        monkeypatch.setattr(rep, "generator_table", lambda c, i: built.append(i) or original(c, i))
+        assert all(r.passed for r in run_suite(ctx))
+        assert sorted(built) == list(range(1, 2 * ctx.n + 1))
+
+    def test_suite_calls_each_check_through_the_module(self, monkeypatch):
+        # Spans are installed as module attributes after import; run_suite
+        # must call the wrapper, once per check, in suite order.
+        ctx = AlgebraContext(3, 2)
+        called = []
+        for name in ALL_CHECKS:
+            original = getattr(axioms, "check_" + name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(axioms, "check_" + name, wrapper)
+        assert all(r.passed for r in run_suite(ctx))
+        assert called == list(ALL_CHECKS)
+
+    def test_projector_keeping_the_wrong_digit_fails(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+
+        def keep_digit_one(k, state):
+            kept = {d: a for d, a in state.amps.items() if d[k - 1] == 1}
+            return rep.QuditState(state.ctx, kept)
+
+        monkeypatch.setattr(rep, "apply_projector", keep_digit_one)
+        reports = {r.name: r for r in run_suite(ctx)}
+        assert {name for name, r in reports.items() if not r.passed} == {"projector_identity"}
+        detail = reports["projector_identity"].counterexample
+        assert detail.startswith("k=1 on |(1, 0)>: c_1 gives ")
+
+    def test_counterexample_wording(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        original = rep.apply_odd
+        monkeypatch.setattr(rep, "apply_odd", lambda k, s: -1 * original(k, s))
+        reports = {r.name: r.counterexample for r in run_suite(ctx)}
+        assert reports["order"] == "c_1^N vs 1 on |(0, 0)>: (w^3)|0,0> differs from (1)|0,0>"
+        assert reports["ground_identity"] == (
+            "k=1 on |(0, 0)>: c_1 gives (-1*w^4)|1,0>, zeta c_2 gives (w^4)|1,0>"
+        )
+        assert reports["unitarity"].startswith("c_1^(N-1) vs c_1^dagger on |(0, 0)>: ")
+        assert reports["power_formula"].startswith("c_1^1 vs its closed form on |(0, 0)>: ")
+        assert " vs its normal form on |" in reports["homomorphism"]

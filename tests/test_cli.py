@@ -1,11 +1,16 @@
 """Tests for the command-line front-end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gcalg
 from gcalg import AlgebraContext, apply_element, basis_indices, basis_state, eval_element, parse
-from gcalg.cli import main
+from gcalg.cli import MAX_N, main
 from gcalg.cyclo import CycloScalar
 
 
@@ -13,6 +18,16 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, timeout=60):
+    # A fresh interpreter under a timeout, for inputs that once ran without bound.
+    src = str(Path(gcalg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "gcalg", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestVerify:
@@ -145,6 +160,37 @@ class TestEval:
         code, out, _ = run(["eval", "--N", "2", "(c[1]+c[2])^10000"], capsys)
         assert code == 0
         assert out == str(2**5000) + "\n"
+
+    @pytest.mark.parametrize("text", ["(c[1]+c[2])^99999999999999999999",
+                                      "(1/3)^99999999999999999999"])
+    def test_huge_power_stops_at_the_digit_limit(self, text):
+        code, out, err = run_process(["eval", "--N", "2", "--n", "1", text])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: result too large to print: ") and "digits" in err
+
+    def test_huge_power_of_an_idempotent_prints(self):
+        code, out, _ = run_process(["eval", "--N", "2", "--n", "1", "E[1]^99999999999999999999"])
+        assert code == 0
+        assert out == "1/2 + 1/2 * zeta * c[1] c[2]\n"
+
+    def test_large_N_is_refused_at_once(self):
+        code, out, err = run_process(["eval", "--N", "100000", "--n", "1", "c[1]"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"gcalg: error: --N 100000 exceeds the largest supported order {MAX_N}"
+        )
+
+    def test_largest_allowed_N_evaluates(self, capsys):
+        code, out, _ = run(["eval", "--N", str(MAX_N), "--n", "1", "(1 + q) c[2] c[1] - c[1] c[2]"],
+                           capsys)
+        assert code == 0
+        assert out == f"q^{MAX_N - 1} * c[1] c[2]\n"  # the c[1] c[2] terms cancel exactly
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--N", str(MAX_N + 1), "--n", "1", "c[1]"])
+        assert info.value.code == 2
 
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)

@@ -197,6 +197,8 @@ class TestEvaluation:
         c3 = AlgebraElement.generator(ctx, 3)
         assert inverse == c3.adjoint()
         assert c3 * inverse == AlgebraElement.one(ctx)
+        x = "(c[1] + 2 q c[3] - 1/2)"
+        assert eval_element(parse(x + "^-3"), ctx) == eval_element(parse(f"({x}^3)'"), ctx)
 
     @pytest.mark.parametrize("postfix", ["^1", "'"])
     def test_long_postfix_chains_evaluate_without_recursion(self, postfix):
