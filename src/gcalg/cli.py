@@ -21,7 +21,7 @@ from .rep import DENSE_CAP_DEFAULT, DenseCapError
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--N", type=int, required=True, metavar="N",
-                        help="order of the generators (>= 2)")
+                        help=f"order of the generators (2 to {MAX_N})")
     common.add_argument("--n", type=int, default=1, metavar="QUDITS",
                         help="number of qudits (default 1)")
     common.add_argument("--zeta-sign", choices=["+", "-"], default=None,
