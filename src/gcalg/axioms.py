@@ -314,12 +314,13 @@ def check_homomorphism(
         return CheckReport(ctx, name, False, str(exc), seed)
     rng = random.Random(seed)
     top = ctx.num_generators
+    states = [(digits, rep.basis_state(ctx, digits)) for digits in rep.basis_indices(ctx)]
     for _ in range(trials):
         length = rng.randint(0, max_len)
         word = Word(ctx, tuple(rng.randint(1, top) for _ in range(length)))
         table = _monomial_table(ctx, tables, normal_order(word))
-        for j, digits in enumerate(rep.basis_indices(ctx)):
-            direct = rep.apply_word(word, rep.basis_state(ctx, digits))
+        for j, (digits, state) in enumerate(states):
+            direct = rep.apply_word(word, state)
             via_normal = table.column(j)
             if not direct == via_normal:
                 what = f"word {list(word.letters)} vs its normal form"

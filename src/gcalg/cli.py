@@ -23,7 +23,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--N", type=int, required=True, metavar="N",
                         help=f"order of the generators (2 to {MAX_N})")
     common.add_argument("--n", type=int, default=1, metavar="QUDITS",
-                        help="number of qudits (default 1)")
+                        help=f"number of qudits (1 to {MAX_QUDITS}, default 1)")
     common.add_argument("--zeta-sign", choices=["+", "-"], default=None,
                         help="square root of q: '+' for +exp(i*pi/N) (even N only), "
                              "'-' for -exp(i*pi/N)")
@@ -80,6 +80,11 @@ def _write(args, text: str) -> int:
 # exact polynomial division over the divisors of 2N, whose cost grows fast
 # with N: at N = 255 one 4-term zero test takes about 0.06 s, at N = 1001 1 s.
 MAX_N = 256
+
+# The largest --n accepted.  Every element term stores a 2n-long exponent
+# tuple, so eval's time and memory grow linearly in n; --dense-cap bounds
+# only the commands that build length-N^n tables.
+MAX_QUDITS = 1024
 
 # Float approximations (JSON "approx", CSV cells) are refused for coefficients
 # of magnitude 2^FLOAT_BITS or more, so every sum in to_complex stays finite.
@@ -198,6 +203,8 @@ def cmd_gram(args, parser) -> int:
 def _context(args, parser) -> AlgebraContext:
     if args.N > MAX_N:
         parser.error(f"--N {args.N} exceeds the largest supported order {MAX_N}")
+    if args.n > MAX_QUDITS:
+        parser.error(f"--n {args.n} exceeds the largest supported number of qudits {MAX_QUDITS}")
     try:
         return AlgebraContext.from_sign(args.N, args.n, args.zeta_sign)
     except ValueError as exc:

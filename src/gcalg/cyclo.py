@@ -4,12 +4,15 @@ Every phase occurring in the generalized Clifford algebra on 2n generators
 (the commutation factor q = exp(2*pi*i/N), its chosen square root zeta, and
 all of their products) is an integer power of w = exp(i*pi/N), a primitive
 2N-th root of unity.  Scalars are therefore stored as sparse maps from
-exponents in [0, 2N) to rational coefficients.  Storage is deliberately not
-reduced modulo the cyclotomic polynomial, which keeps printed exponents
-recognizable; zero testing and equality reduce the coefficient polynomial
-modulo Phi_{2N} and are exact.  Floating point enters only through
-``to_complex``, which exists for display and sanity oracles, never for
-equality decisions.
+exponents in [0, 2N) to rational coefficients, held as ``int`` when integral
+and as ``Fraction`` otherwise.  Storage is deliberately not reduced modulo
+the cyclotomic polynomial, which keeps printed exponents recognizable; zero
+testing and equality reduce the coefficient polynomial modulo Phi_{2N} and
+are exact.  Amplitudes of the representation are single terms r w^k, and
+those take short cuts: products of two single terms add exponents, two
+single terms are compared by a closed rule, and ``times_root`` rotates
+exponents.  Floating point enters only through ``to_complex``, which exists
+for display and sanity oracles, never for equality decisions.
 
 :class:`ExactVector` is the one sparse vector over these scalars: a map from
 keys to nonzero scalars.  Algebra elements (keyed by exponent vectors) and
@@ -75,6 +78,14 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
+def _rational(value) -> int | Fraction:
+    """``value`` as an exact rational: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients, constant term first, of the m-th cyclotomic polynomial.
@@ -101,10 +112,15 @@ class CycloScalar:
     """An element of Q(w), with w a primitive ``order``-th root of unity.
 
     ``coeffs`` maps exponents in [0, order) to nonzero rationals; the value
-    represented is sum_k coeffs[k] * w^k.  Instances are immutable values and
-    all arithmetic returns new objects.  ``==`` compares the represented
-    complex numbers exactly, so two scalars with different stored maps can
-    still be equal; consequently the type is unhashable.
+    represented is sum_k coeffs[k] * w^k.  A coefficient is an ``int`` or a
+    ``Fraction``; the constructors store integral values as ``int``, and
+    arithmetic on ints stays int.  Instances are immutable values and all
+    arithmetic returns new objects.  ``==`` compares the represented complex
+    numbers exactly, so two scalars with different stored maps can still be
+    equal; consequently the type is unhashable.  Two single terms are
+    compared by the closed rule r w^a == s w^b iff (a = b and r = s) or
+    (order even, a - b = order/2 mod order and r = -s); every other pair is
+    reduced modulo the cyclotomic polynomial.
     """
 
     __slots__ = ("order", "coeffs")
@@ -114,11 +130,11 @@ class CycloScalar:
     def __init__(self, order: int, coeffs=None):
         if not isinstance(order, int) or order < 1:
             raise ValueError("order must be a positive integer")
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if coeffs:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for k, v in items:
-                v = Fraction(v)
+                v = _rational(v)
                 if not v:
                     continue
                 k = int(k) % order
@@ -131,7 +147,7 @@ class CycloScalar:
         self.coeffs = clean
 
     @classmethod
-    def _raw(cls, order: int, clean: dict[int, Fraction]) -> CycloScalar:
+    def _raw(cls, order: int, clean: dict[int, int | Fraction]) -> CycloScalar:
         # Internal constructor for maps already in stored form.
         s = cls.__new__(cls)
         s.order = order
@@ -144,17 +160,17 @@ class CycloScalar:
 
     @classmethod
     def one(cls, order: int) -> CycloScalar:
-        return cls._raw(order, {0: Fraction(1)})
+        return cls._raw(order, {0: 1})
 
     @classmethod
     def rational(cls, order: int, value) -> CycloScalar:
-        value = Fraction(value)
+        value = _rational(value)
         return cls._raw(order, {0: value} if value else {})
 
     @classmethod
     def root(cls, order: int, k: int) -> CycloScalar:
         """The root of unity w^k."""
-        return cls._raw(order, {k % order: Fraction(1)})
+        return cls._raw(order, {k % order: 1})
 
     def _coerce(self, other) -> CycloScalar | None:
         if isinstance(other, CycloScalar):
@@ -202,7 +218,11 @@ class CycloScalar:
         if o is None:
             return NotImplemented
         m = self.order
-        out: dict[int, Fraction] = {}
+        if len(self.coeffs) == 1 and len(o.coeffs) == 1:
+            (k1, v1), = self.coeffs.items()
+            (k2, v2), = o.coeffs.items()
+            return CycloScalar._raw(m, {(k1 + k2) % m: v1 * v2})
+        out: dict[int, int | Fraction] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in o.coeffs.items():
                 k = (k1 + k2) % m
@@ -222,6 +242,14 @@ class CycloScalar:
             raise ValueError("negative powers are not defined; conj() inverts unit scalars")
         return power_by_squaring(self, k, CycloScalar.one(self.order))
 
+    def times_root(self, k: int) -> CycloScalar:
+        """This scalar times w^k: every stored exponent shifted by k.
+
+        The stored map equals that of ``self * CycloScalar.root(order, k)``.
+        """
+        m = self.order
+        return CycloScalar._raw(m, {(e + k) % m: v for e, v in self.coeffs.items()})
+
     def conj(self) -> CycloScalar:
         """Complex conjugate: w^k -> w^{-k}, rationals fixed."""
         m = self.order
@@ -233,7 +261,7 @@ class CycloScalar:
             return True
         phi = cyclotomic_polynomial(self.order)
         dn = len(phi) - 1
-        rem = [Fraction(0)] * self.order
+        rem = [0] * self.order
         for k, v in self.coeffs.items():
             rem[k] = v
         for i in range(len(rem) - 1, dn - 1, -1):
@@ -274,6 +302,13 @@ class CycloScalar:
             other = CycloScalar.rational(self.order, other)
         else:
             return NotImplemented
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            (a, r), = self.coeffs.items()
+            (b, s), = other.coeffs.items()
+            if a == b:
+                return r == s
+            m = self.order
+            return m % 2 == 0 and (a - b) % m == m // 2 and r == -s
         return (self - other).is_zero()
 
     def to_complex(self) -> complex:
@@ -427,6 +462,11 @@ def _root(order: int, k: int) -> CycloScalar:
     return CycloScalar.root(order, k)
 
 
+@lru_cache(maxsize=None)
+def _zero(order: int) -> CycloScalar:
+    return CycloScalar.zero(order)
+
+
 @dataclass(frozen=True)
 class AlgebraContext:
     """The pair (N, n) plus the chosen exponent e with zeta = w^e.
@@ -488,7 +528,8 @@ class AlgebraContext:
         return self.N**self.n
 
     def zero(self) -> CycloScalar:
-        return CycloScalar.zero(self.order)
+        """The zero scalar, one shared object per ring order."""
+        return _zero(self.order)
 
     def one(self) -> CycloScalar:
         return _root(self.order, 0)

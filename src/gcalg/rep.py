@@ -102,7 +102,7 @@ class QuditState(ExactVector):
 
     def amplitude(self, digits) -> CycloScalar:
         """Amplitude at a basis label, zero when absent."""
-        return self.terms.get(tuple(digits), CycloScalar.zero(self.ctx.order))
+        return self.terms.get(tuple(digits), self.ctx.zero())
 
     def __eq__(self, other):
         if not isinstance(other, QuditState):
@@ -150,7 +150,7 @@ def _raise_digit(k: int, state: QuditState, zeta_power: int) -> QuditState:
     for digits, amp in state.terms.items():
         head = sum(digits[: k - 1])
         nd = digits[: k - 1] + ((digits[k - 1] + 1) % N,) + digits[k:]
-        out[nd] = amp * ctx.omega(zeta + 2 * (zeta_power * digits[k - 1] - head))
+        out[nd] = amp.times_root(zeta + 2 * (zeta_power * digits[k - 1] - head))
     return QuditState._raw(ctx, out)
 
 

@@ -48,7 +48,7 @@ class TestSuite:
         # Exhaustive exact verification across the advertised size range.
         for N in range(2, 9):
             for n in range(1, 9):
-                if N**n > 256:
+                if N**n > 512:
                     continue
                 ctx = AlgebraContext(N, n)
                 reports = run_suite(ctx)
@@ -197,6 +197,22 @@ class TestOneBodyPerCheck:
         assert {name for name, r in reports.items() if not r.passed} == {"projector_identity"}
         detail = reports["projector_identity"].counterexample
         assert detail.startswith("k=1 on |(1, 0)>: c_1 gives ")
+
+    @pytest.mark.parametrize("N,n,zeta_exp", [
+        (N, n, exp) for N, n in ((3, 2), (2, 3), (4, 2)) for exp in admissible_zeta_exps(N)
+    ])
+    def test_conjugated_amplitudes_fail_only_homomorphism(self, N, n, zeta_exp, monkeypatch):
+        # Every table is read off amplitude-1 basis states, where conjugation
+        # changes nothing, so only the letter-by-letter oracle can see this.
+        original = rep._raise_digit
+
+        def conjugating(k, state, zeta_power):
+            conjugated = {d: a.conj() for d, a in state.amps.items()}
+            return original(k, rep.QuditState(state.ctx, conjugated), zeta_power)
+
+        monkeypatch.setattr(rep, "_raise_digit", conjugating)
+        failed = [r.name for r in run_suite(AlgebraContext(N, n, zeta_exp)) if not r.passed]
+        assert failed == ["homomorphism"]
 
     def test_counterexample_wording(self, monkeypatch):
         ctx = AlgebraContext(3, 2)

@@ -10,7 +10,8 @@ import pytest
 
 import gcalg
 from gcalg import AlgebraContext, apply_element, basis_indices, basis_state, eval_element, parse
-from gcalg.cli import MAX_N, main
+from gcalg import cli
+from gcalg.cli import MAX_N, MAX_QUDITS, main
 from gcalg.cyclo import CycloScalar
 
 
@@ -192,6 +193,31 @@ class TestEval:
             main(["eval", "--N", str(MAX_N + 1), "--n", "1", "c[1]"])
         assert info.value.code == 2
 
+    def test_many_qudits_are_refused_at_once(self):
+        code, out, err = run_process(["eval", "--N", "2", "--n", "100000000", "c[1]"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "gcalg: error: --n 100000000 exceeds the largest supported number of qudits "
+            f"{MAX_QUDITS}"
+        )
+
+    def test_largest_allowed_n_evaluates(self, capsys):
+        last = f"c[{2 * MAX_QUDITS}]"
+        code, out, _ = run(["eval", "--N", "2", "--n", str(MAX_QUDITS), last], capsys)
+        assert code == 0
+        assert out == last + "\n"
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--N", "2", "--n", str(MAX_QUDITS + 1), "c[1]"])
+        assert info.value.code == 2
+
+    def test_help_states_the_bounds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"(2 to {MAX_N})" in out
+        assert f"(1 to {MAX_QUDITS}, default 1)" in out
+
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)
         assert code == 1
@@ -273,6 +299,21 @@ class TestGram:
                 else:
                     assert cell == 0
                     assert rows[i][j]["coeffs"] == []  # exactly zero, not small
+
+    def test_off_diagonal_cells_share_one_zero(self, monkeypatch, capsys):
+        built = []
+        original = cli._matrix_output
+
+        def capture(args, matrix, ctx):
+            built.append(matrix)
+            return original(args, matrix, ctx)
+
+        monkeypatch.setattr(cli, "_matrix_output", capture)
+        code, _, _ = run(["gram", "--N", "3", "--n", "2", "--format", "csv"], capsys)
+        assert code == 0
+        matrix, = built
+        cells = {id(cell) for i, row in enumerate(matrix) for j, cell in enumerate(row) if i != j}
+        assert len(cells) == 1
 
     def test_text_format(self, capsys):
         code, out, _ = run(["gram", "--N", "2", "--n", "1"], capsys)

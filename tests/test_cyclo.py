@@ -221,6 +221,75 @@ class TestScalarArithmetic:
             CycloScalar.root(6, 1) ** -1
 
 
+def _general_product(x, y):
+    # The double loop of CycloScalar.__mul__, kept as the oracle of its
+    # single-term branch.
+    m = x.order
+    out = {}
+    for k1, v1 in x.coeffs.items():
+        for k2, v2 in y.coeffs.items():
+            k = (k1 + k2) % m
+            w = out.get(k, 0) + v1 * v2
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    return out
+
+
+def _stored(x):
+    return [(k, type(v), v) for k, v in x.coeffs.items()]
+
+
+_RATIONALS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+
+
+class TestUnitRootFastPath:
+    def test_integral_coefficients_are_ints(self):
+        assert type(CycloScalar.one(6).coeffs[0]) is int
+        assert _stored(CycloScalar.rational(6, Fraction(3, 1))) == [(0, int, 3)]
+        assert _stored(CycloScalar.root(6, 7)) == [(1, int, 1)]
+        assert _stored(CycloScalar(6, {1: Fraction(4, 2), 2: Fraction(1, 2), 3: "5/5"})) == [
+            (1, int, 2), (2, Fraction, Fraction(1, 2)), (3, int, 1),
+        ]
+        assert _stored(AlgebraContext(3, 1).zeta() * AlgebraContext(3, 1).q()) == [(0, int, 1)]
+
+    def test_single_term_equality_matches_the_zero_test(self):
+        for m in range(1, 13):
+            for a in range(m):
+                for b in range(m):
+                    for r in _RATIONALS:
+                        for s in _RATIONALS:
+                            x = CycloScalar(m, {a: r})
+                            y = CycloScalar(m, {b: s})
+                            assert (x == y) == (x - y).is_zero(), (m, a, r, b, s)
+
+    def test_single_term_product_matches_the_general_loop(self):
+        for m in (1, 2, 6, 8):
+            for a in range(m):
+                for b in range(m):
+                    for r in _RATIONALS:
+                        for s in (1, -2, Fraction(1, 2)):
+                            x = CycloScalar(m, {a: r})
+                            y = CycloScalar(m, {b: s})
+                            expected = _general_product(x, y).items()
+                            assert _stored(x * y) == [(k, type(v), v) for k, v in expected]
+
+    def test_times_root_equals_multiplying_by_the_root(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            m = rng.randint(1, 12)
+            x = CycloScalar(m, {
+                rng.randrange(m): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 5))
+            })
+            k = rng.randint(-2 * m, 2 * m)
+            product = x * CycloScalar.root(m, k)
+            shifted = x.times_root(k)
+            assert repr(shifted) == repr(product)
+            assert _stored(shifted) == _stored(product)
+
+
 _orders = st.sampled_from([4, 6, 8, 10, 12])
 
 
