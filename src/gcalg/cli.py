@@ -3,6 +3,12 @@
 Exit status contract: 0 on success (all checks passing), 1 on runtime or
 check failure, 2 on usage errors.  Identical inputs and seeds produce
 byte-identical output.
+
+Dense exports (``matrix``, ``gram``) hold D^2 cells for dimension D, but at
+most D * terms of them are nonzero; every other cell is the one shared
+``AlgebraContext.zero()``.  So the writers encode, and ``matrix`` checks,
+each distinct cell object once, and ``gram`` computes only the cells whose
+supports meet.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", parents=[common],
                             help="run the identity-verification suite")
-    verify.add_argument("--checks", nargs="*", default=None, metavar="NAME",
+    verify.add_argument("--checks", nargs="+", default=None, metavar="NAME",
                         help=f"subset of checks to run (default all): {', '.join(axioms.ALL_CHECKS)}")
     evaluate = sub.add_parser("eval", parents=[common],
                               help="evaluate an element, state, or bra-ket expression")
@@ -112,20 +118,49 @@ def _approx(value) -> str:
     return f"{z.real:.12g},{z.imag:.12g}"
 
 
+def _json_cell(value) -> str:
+    # One cell as json.dumps(matrix, indent=2) writes it, two levels deep.
+    return json.dumps(value.to_json(), indent=2).replace("\n", "\n    ")
+
+
+def _distinct_cells(matrix) -> dict:
+    """The cell objects of ``matrix``, keyed by ``id``.
+
+    The matrix keeps every cell alive, so an id names one cell for as long
+    as the matrix is held.
+    """
+    cells = {}
+    for row in matrix:
+        cells.update(zip(map(id, row), row))
+    return cells
+
+
+def _encoded_rows(matrix, encode):
+    """Yield each row of ``matrix`` as a list of ``encode(cell)`` strings.
+
+    ``encode`` runs once per distinct cell object, not once per cell.
+    """
+    text = {key: encode(cell) for key, cell in _distinct_cells(matrix).items()}
+    for row in matrix:
+        yield list(map(text.__getitem__, map(id, row)))
+
+
 def _matrix_output(args, matrix, ctx) -> str:
+    """The matrix in ``args.format``, byte for byte as the per-cell writers give it.
+
+    JSON is ``json.dumps(cells, indent=2)``, CSV is ``csv.writer`` over
+    ``_approx`` and text is tab-joined ``print_canonical``.
+    """
     if args.format == "json":
-        return json.dumps([[cell.to_json() for cell in row] for row in matrix],
-                          indent=2) + "\n"
+        rows = ("[\n    " + ",\n    ".join(row) + "\n  ]"
+                for row in _encoded_rows(matrix, _json_cell))
+        return "[\n  " + ",\n  ".join(rows) + "\n]\n"
     if args.format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        for row in matrix:
-            writer.writerow([_approx(cell) for cell in row])
+        csv.writer(buffer).writerows(_encoded_rows(matrix, _approx))
         return buffer.getvalue()
-    lines = []
-    for row in matrix:
-        lines.append("\t".join(expr.print_canonical(cell, ctx) for cell in row))
-    return "\n".join(lines) + "\n"
+    rows = _encoded_rows(matrix, lambda cell: expr.print_canonical(cell, ctx))
+    return "".join("\t".join(row) + "\n" for row in rows)
 
 
 def cmd_verify(args, parser) -> int:
@@ -188,19 +223,36 @@ def cmd_matrix(args, parser) -> int:
     ctx = _context(args, parser)
     element = expr.eval_element(expr.parse(args.expression), ctx)
     matrix = rep.dense_matrix(element, cap=args.dense_cap)
-    _check_printable((cell for row in matrix for cell in row), args.format)
+    _check_printable(_distinct_cells(matrix).values(), args.format)
     return _write(args, _matrix_output(args, matrix, ctx))
 
 
 def cmd_gram(args, parser) -> int:
+    """Gram matrix of the ordered basis vectors.
+
+    ``scalar_product`` runs only on pairs whose supports share a basis
+    label; every other cell is ``ctx.zero()``, the object it would return.
+    """
     ctx = _context(args, parser)
     rep.check_dense_cap(ctx, args.dense_cap)
     vectors = [rep.ordered_basis_vector(ctx, digits) for digits in rep.basis_indices(ctx)]
-    matrix = [[rep.scalar_product(vr, vc) for vc in vectors] for vr in vectors]
+    holders = {}  # basis label -> positions of the vectors whose support holds it
+    for j, vector in enumerate(vectors):
+        for label in vector.terms:
+            holders.setdefault(label, []).append(j)
+    zero = ctx.zero()
+    matrix = []
+    for vr in vectors:
+        row = [zero] * len(vectors)
+        for j in {j for label in vr.terms for j in holders[label]}:
+            row[j] = rep.scalar_product(vr, vectors[j])
+        matrix.append(row)
     return _write(args, _matrix_output(args, matrix, ctx))
 
 
 def _context(args, parser) -> AlgebraContext:
+    if args.dense_cap < 1:
+        parser.error(f"--dense-cap {args.dense_cap} must be at least 1")
     if args.N > MAX_N:
         parser.error(f"--N {args.N} exceeds the largest supported order {MAX_N}")
     if args.n > MAX_QUDITS:

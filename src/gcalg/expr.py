@@ -33,6 +33,7 @@ from .symbolic import AlgebraElement, projector_element
 __all__ = [
     "EvalError",
     "MAX_PAREN_DEPTH",
+    "MAX_PRODUCT_ENTRIES",
     "Node",
     "ParseError",
     "UnprintableError",
@@ -49,6 +50,14 @@ __all__ = [
 # level costs four Python frames, so about 240 levels fit under the default
 # recursion limit; past this depth a positioned ParseError is raised instead.
 MAX_PAREN_DEPTH = 200
+
+# Largest product an expression may form, in stored coefficient entries (the
+# terms of an element times the entries each coefficient stores).  A product
+# of elements of sizes s and t stores at most s * t entries and forming it
+# multiplies s * t pairs of entries, so it is refused before it is formed
+# when s * t exceeds this budget.  At N = 256, n = 3 a product near the
+# budget takes under a second; the benchmark's eval products stay below 100.
+MAX_PRODUCT_ENTRIES = 2**16
 
 
 class ParseError(ValueError):
@@ -407,7 +416,7 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
     if kind == "product":
         out = AlgebraElement.one(ctx)
         for child in node.children:
-            out = out * _eval_operator(child, ctx)
+            out = _printable_product(out, _eval_operator(child, ctx))
         return out
     if kind == "sum":
         out = AlgebraElement.zero(ctx)
@@ -417,16 +426,29 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
     raise EvalError(f"expected an operator expression, found a {kind} node")
 
 
+def _stored_size(x: AlgebraElement) -> int:
+    # Terms times their stored coefficient entries.
+    return sum(len(coeff.coeffs) for coeff in x.terms.values())
+
+
 def _printable_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    # Every product an expression forms, in a chain or a power, passes both
+    # budgets: MAX_PRODUCT_ENTRIES before it is formed, the digit limit after.
+    bound = _stored_size(a) * _stored_size(b)
+    if bound > MAX_PRODUCT_ENTRIES:
+        raise EvalError(
+            f"result too large: a product could store {bound} coefficient entries, "
+            f"more than the budget of {MAX_PRODUCT_ENTRIES}"
+        )
     out = a * b
     check_digit_limit([v for coeff in out.terms.values() for v in coeff.coeffs.values()])
     return out
 
 
 def _power(x: AlgebraElement, k: int) -> AlgebraElement:
-    # x^k as AlgebraElement.__pow__ forms it, but checked after every product:
-    # coefficients can double in length per squaring, so a huge k would
-    # otherwise run without bound on a result that could never be printed.
+    # x^k as AlgebraElement.__pow__ forms it, but every product is checked:
+    # coefficients can double in length and terms multiply per squaring, so a
+    # huge k would otherwise run without bound on a result never printed.
     out = power_by_squaring(x, abs(k), AlgebraElement.one(x.ctx), _printable_product)
     return out.adjoint() if k < 0 else out
 

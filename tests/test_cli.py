@@ -1,7 +1,10 @@
 """Tests for the command-line front-end."""
 
+import csv
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +13,10 @@ import pytest
 
 import gcalg
 from gcalg import AlgebraContext, apply_element, basis_indices, basis_state, eval_element, parse
-from gcalg import cli
+from gcalg import cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
 from gcalg.cyclo import CycloScalar
+from helpers import random_element
 
 
 def run(argv, capsys):
@@ -29,6 +33,20 @@ def run_process(argv, timeout=60):
     done = subprocess.run([sys.executable, "-m", "gcalg", *argv], capture_output=True,
                           text=True, env=env, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture
+def written_matrices(monkeypatch):
+    """The matrices that reach ``cli._matrix_output``, in call order."""
+    built = []
+    original = cli._matrix_output
+
+    def capture(args, matrix, ctx):
+        built.append(matrix)
+        return original(args, matrix, ctx)
+
+    monkeypatch.setattr(cli, "_matrix_output", capture)
+    return built
 
 
 class TestVerify:
@@ -64,6 +82,13 @@ class TestVerify:
         )
         assert code == 0
         assert "2/2 checks passed" in out
+
+    def test_checks_without_names_is_usage_error(self, capsys):
+        # An empty --checks would report "0/0 checks passed" and exit 0.
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--N", "3", "--n", "1", "--checks"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_dimension_over_dense_cap_exits_1(self, capsys):
         code, out, err = run(["verify", "--N", "2", "--n", "40"], capsys)
@@ -218,6 +243,32 @@ class TestEval:
         assert f"(2 to {MAX_N})" in out
         assert f"(1 to {MAX_QUDITS}, default 1)" in out
 
+    @pytest.mark.parametrize("text", [
+        "(c[1]+c[2]+c[3]+c[4]+c[5]+c[6])^20",
+        " ".join(["(c[1]+c[2]+c[3]+c[4]+c[5]+c[6])"] * 20),
+    ])
+    def test_product_over_the_term_budget_exits_1(self, text):
+        # Both once ran for minutes: the term count grows while coefficients stay small.
+        code, out, err = run_process(["eval", "--N", "256", "--n", "3", text], timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: result too large: ")
+        assert f"more than the budget of {expr.MAX_PRODUCT_ENTRIES}" in err
+
+    def test_term_budget_is_exact(self, monkeypatch, capsys):
+        # (c_1 + c_2 + c_3)^2 at N = 3 is a product of two 3-entry elements.
+        monkeypatch.setattr(expr, "MAX_PRODUCT_ENTRIES", 9)
+        for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
+            code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
+            assert code == 0
+        monkeypatch.setattr(expr, "MAX_PRODUCT_ENTRIES", 8)
+        for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
+            code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
+            assert code == 1 and out == ""
+            assert err == ("error: result too large: a product could store 9 coefficient "
+                           "entries, more than the budget of 8\n")
+
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)
         assert code == 1
@@ -263,6 +314,15 @@ class TestMatrix:
             for i, row_label in enumerate(labels):
                 assert CycloScalar.from_json(rows[i][j]) == column.amplitude(row_label)
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_dense_cap_is_usage_error(self, cap, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["matrix", "--N", "2", "--n", "1", "--dense-cap", cap, "c[1]"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"gcalg: error: --dense-cap {cap} must be at least 1"
+
     def test_cap_exceeded_exits_1(self, capsys):
         code, _, err = run(
             ["matrix", "--N", "3", "--n", "8", "--dense-cap", "100", "c[1]"], capsys
@@ -300,18 +360,10 @@ class TestGram:
                     assert cell == 0
                     assert rows[i][j]["coeffs"] == []  # exactly zero, not small
 
-    def test_off_diagonal_cells_share_one_zero(self, monkeypatch, capsys):
-        built = []
-        original = cli._matrix_output
-
-        def capture(args, matrix, ctx):
-            built.append(matrix)
-            return original(args, matrix, ctx)
-
-        monkeypatch.setattr(cli, "_matrix_output", capture)
+    def test_off_diagonal_cells_share_one_zero(self, written_matrices, capsys):
         code, _, _ = run(["gram", "--N", "3", "--n", "2", "--format", "csv"], capsys)
         assert code == 0
-        matrix, = built
+        matrix, = written_matrices
         cells = {id(cell) for i, row in enumerate(matrix) for j, cell in enumerate(row) if i != j}
         assert len(cells) == 1
 
@@ -329,3 +381,94 @@ class TestGram:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {target}: ")
         assert not target.parent.exists()
+
+
+# -- the dense writers against the literal per-cell encoders ------------------
+
+def oracle_output(matrix, fmt, ctx):
+    """The matrix as the per-cell writers wrote it: one encoder call per cell."""
+    if fmt == "json":
+        return json.dumps([[cell.to_json() for cell in row] for row in matrix], indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        for row in matrix:
+            writer.writerow([cli._approx(cell) for cell in row])
+        return buffer.getvalue()
+    return "".join("\t".join(expr.print_canonical(cell, ctx) for cell in row) + "\n"
+                   for row in matrix)
+
+
+DENSE_CONTEXTS = [(2, 3, "+"), (2, 3, "-"), (3, 2, "-"), (4, 2, "+"), (4, 2, "-"),
+                  (6, 2, "+"), (6, 2, "-")]
+FORMATS = ["json", "csv", "text"]
+
+
+def context_flags(N, n, sign):
+    return ["--N", str(N), "--n", str(n), "--zeta-sign", sign]
+
+
+@pytest.mark.parametrize("N,n,sign", DENSE_CONTEXTS)
+def test_matrix_output_matches_the_per_cell_writers(N, n, sign, capsys):
+    ctx = AlgebraContext.from_sign(N, n, sign)
+    rng = random.Random(f"{N}{n}{sign}")
+    for _ in range(4):
+        element = random_element(rng, ctx)
+        while not element.terms:
+            element = random_element(rng, ctx)
+        text = expr.print_canonical(element)
+        matrix = rep.dense_matrix(eval_element(parse(text), ctx))
+        for fmt in FORMATS:
+            code, out, _ = run(["matrix", *context_flags(N, n, sign), "--format", fmt, text],
+                               capsys)
+            assert code == 0
+            assert out == oracle_output(matrix, fmt, ctx)
+
+
+@pytest.mark.parametrize("N,n,sign", DENSE_CONTEXTS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_gram_matches_all_pairs(N, n, sign, fmt, written_matrices, capsys):
+    ctx = AlgebraContext.from_sign(N, n, sign)
+    vectors = [rep.ordered_basis_vector(ctx, digits) for digits in basis_indices(ctx)]
+    expected = [[rep.scalar_product(vr, vc) for vc in vectors] for vr in vectors]
+    code, out, _ = run(["gram", *context_flags(N, n, sign), "--format", fmt], capsys)
+    assert code == 0
+    assert out == oracle_output(expected, fmt, ctx)
+    matrix, = written_matrices
+
+    def stored(rows):  # each cell's stored map, key order included
+        return [[list(cell.coeffs.items()) for cell in row] for row in rows]
+
+    assert stored(matrix) == stored(expected)
+    off_diagonal = {id(cell) for i, row in enumerate(matrix) for j, cell in enumerate(row)
+                    if i != j}
+    assert off_diagonal == {id(ctx.zero())}
+
+
+def test_gram_computes_only_the_cells_whose_supports_meet(monkeypatch, capsys):
+    calls = []
+    original = rep.scalar_product
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(rep, "scalar_product", counting)
+    code, _, _ = run(["gram", "--N", "3", "--n", "3", "--format", "csv"], capsys)
+    assert code == 0
+    assert len(calls) == 27  # one per basis vector: each meets only itself
+
+
+def test_each_distinct_cell_is_encoded_once(monkeypatch, capsys):
+    encoded = []
+    original = cli._approx
+
+    def counting(value):
+        encoded.append(value)
+        return original(value)
+
+    monkeypatch.setattr(cli, "_approx", counting)
+    code, out, _ = run(["gram", "--N", "2", "--n", "4", "--format", "csv"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 16
+    assert len(encoded) == len({id(v) for v in encoded}) <= 17  # 16 diagonal cells, one zero
