@@ -71,7 +71,6 @@ from .rep import (
     ground_state,
     ordered_basis_vector,
     scalar_product,
-    state_from_json,
     state_to_json,
 )
 from .symbolic import AlgebraElement, NormalMonomial, Word, normal_order, projector_element

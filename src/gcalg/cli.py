@@ -4,20 +4,22 @@ Exit status contract: 0 on success (all checks passing), 1 on runtime or
 check failure, 2 on usage errors.  Identical inputs and seeds produce
 byte-identical output.
 
-Dense exports (``matrix``, ``gram``) hold D^2 cells for dimension D, but at
-most D * terms of them are nonzero; every other cell is the one shared
-``AlgebraContext.zero()``.  So the writers encode, and ``matrix`` checks,
-each distinct cell object once, and ``gram`` computes only the cells whose
-supports meet.
+Dense exports (``matrix``, ``gram``) have D^2 cells for dimension D, but at
+most D * terms of them are nonzero.  So both are held as ``rep.dense_matrix``
+rows, maps from column position to nonzero entry; ``gram`` computes only the
+cells whose supports meet.  ``matrix`` checks every stored entry before the
+first byte is written, and the writer encodes the zero cell once and each
+stored entry once, writing each row as it is encoded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from . import axioms, expr, rep
 from .cyclo import AlgebraContext
@@ -55,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", parents=[common],
                             help="run the identity-verification suite")
-    verify.add_argument("--checks", nargs="+", default=None, metavar="NAME",
+    verify.add_argument("--checks", nargs="+", choices=axioms.ALL_CHECKS, default=None,
+                        metavar="NAME",
                         help=f"subset of checks to run (default all): {', '.join(axioms.ALL_CHECKS)}")
     evaluate = sub.add_parser("eval", parents=[common],
                               help="evaluate an element, state, or bra-ket expression")
@@ -68,18 +71,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, text: str) -> int:
-    """Write the output; return 1 after a one-line error if --output fails."""
-    if not args.output:
-        sys.stdout.write(text)
-        return 0
+def _write(args, chunks) -> int:
+    """Write the output chunks as they come; return 1 after a one-line error if writing fails."""
     try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        if not args.output:
+            _discard_stdout()
         return 1
     return 0
+
+
+def _discard_stdout() -> None:
+    # What a failed write left in the stdout buffer would fail again, with a
+    # second message, when the interpreter flushes stdout at exit.
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # no descriptor of its own: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # The largest --N accepted.  The first zero test in a context builds Phi_2N by
@@ -123,52 +141,39 @@ def _json_cell(value) -> str:
     return json.dumps(value.to_json(), indent=2).replace("\n", "\n    ")
 
 
-def _distinct_cells(matrix) -> dict:
-    """The cell objects of ``matrix``, keyed by ``id``.
+def _matrix_chunks(rows, fmt: str, ctx):
+    """Yield a dense export row by row, byte for byte as the per-cell writers give it.
 
-    The matrix keeps every cell alive, so an id names one cell for as long
-    as the matrix is held.
+    ``rows`` are shaped as ``rep.dense_matrix`` returns them.  JSON is
+    ``json.dumps(cells, indent=2)``, CSV is ``csv.writer`` over ``_approx``
+    and text is tab-joined ``print_canonical``.  The zero cell is encoded
+    once and each stored entry once.
     """
-    cells = {}
-    for row in matrix:
-        cells.update(zip(map(id, row), row))
-    return cells
-
-
-def _encoded_rows(matrix, encode):
-    """Yield each row of ``matrix`` as a list of ``encode(cell)`` strings.
-
-    ``encode`` runs once per distinct cell object, not once per cell.
-    """
-    text = {key: encode(cell) for key, cell in _distinct_cells(matrix).items()}
-    for row in matrix:
-        yield list(map(text.__getitem__, map(id, row)))
-
-
-def _matrix_output(args, matrix, ctx) -> str:
-    """The matrix in ``args.format``, byte for byte as the per-cell writers give it.
-
-    JSON is ``json.dumps(cells, indent=2)``, CSV is ``csv.writer`` over
-    ``_approx`` and text is tab-joined ``print_canonical``.
-    """
-    if args.format == "json":
-        rows = ("[\n    " + ",\n    ".join(row) + "\n  ]"
-                for row in _encoded_rows(matrix, _json_cell))
-        return "[\n  " + ",\n  ".join(rows) + "\n]\n"
-    if args.format == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows(_encoded_rows(matrix, _approx))
-        return buffer.getvalue()
-    rows = _encoded_rows(matrix, lambda cell: expr.print_canonical(cell, ctx))
-    return "".join("\t".join(row) + "\n" for row in rows)
+    opening = between = closing = ""
+    if fmt == "json":
+        encode = _json_cell
+        line = lambda cells: "[\n    " + ",\n    ".join(cells) + "\n  ]"
+        opening, between, closing = "[\n  ", ",\n  ", "\n]\n"
+    elif fmt == "csv":
+        encode = _approx
+        # writerow returns what write returns: here the encoded line itself.
+        line = csv.writer(SimpleNamespace(write=str)).writerow
+    else:
+        encode = lambda cell: expr.print_canonical(cell, ctx)
+        line = lambda cells: "\t".join(cells) + "\n"
+    zeros = [encode(ctx.zero())] * ctx.dim
+    separator = opening
+    for row in rows:
+        cells = zeros.copy()
+        for j, entry in row.items():
+            cells[j] = encode(entry)
+        yield separator + line(cells)
+        separator = between
+    yield closing
 
 
 def cmd_verify(args, parser) -> int:
     ctx = _context(args, parser)
-    if args.checks is not None:
-        unknown = [name for name in args.checks if name not in axioms.ALL_CHECKS]
-        if unknown:
-            parser.error(f"unknown check name(s): {', '.join(unknown)}")
     if args.format == "csv":
         parser.error("csv output is not available for verify")
     rep.check_dense_cap(ctx, args.dense_cap)
@@ -186,7 +191,7 @@ def cmd_verify(args, parser) -> int:
         failed = sum(1 for r in reports if not r.passed)
         lines.append(f"{len(reports) - failed}/{len(reports)} checks passed")
         text = "\n".join(lines) + "\n"
-    return _write(args, text) or (0 if all(r.passed for r in reports) else 1)
+    return _write(args, [text]) or (0 if all(r.passed for r in reports) else 1)
 
 
 def cmd_eval(args, parser) -> int:
@@ -216,22 +221,22 @@ def cmd_eval(args, parser) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = canonical + "\n"
-    return _write(args, text)
+    return _write(args, [text])
 
 
 def cmd_matrix(args, parser) -> int:
     ctx = _context(args, parser)
     element = expr.eval_element(expr.parse(args.expression), ctx)
-    matrix = rep.dense_matrix(element, cap=args.dense_cap)
-    _check_printable(_distinct_cells(matrix).values(), args.format)
-    return _write(args, _matrix_output(args, matrix, ctx))
+    rows = rep.dense_matrix(element, cap=args.dense_cap)
+    _check_printable([entry for row in rows for entry in row.values()], args.format)
+    return _write(args, _matrix_chunks(rows, args.format, ctx))
 
 
 def cmd_gram(args, parser) -> int:
-    """Gram matrix of the ordered basis vectors.
+    """Gram matrix of the ordered basis vectors, as ``rep.dense_matrix`` rows.
 
     ``scalar_product`` runs only on pairs whose supports share a basis
-    label; every other cell is ``ctx.zero()``, the object it would return.
+    label; every other cell is zero.
     """
     ctx = _context(args, parser)
     rep.check_dense_cap(ctx, args.dense_cap)
@@ -240,14 +245,12 @@ def cmd_gram(args, parser) -> int:
     for j, vector in enumerate(vectors):
         for label in vector.terms:
             holders.setdefault(label, []).append(j)
-    zero = ctx.zero()
-    matrix = []
-    for vr in vectors:
-        row = [zero] * len(vectors)
-        for j in {j for label in vr.terms for j in holders[label]}:
-            row[j] = rep.scalar_product(vr, vectors[j])
-        matrix.append(row)
-    return _write(args, _matrix_output(args, matrix, ctx))
+    rows = [
+        {j: rep.scalar_product(vr, vectors[j])
+         for j in sorted({j for label in vr.terms for j in holders[label]})}
+        for vr in vectors
+    ]
+    return _write(args, _matrix_chunks(rows, args.format, ctx))
 
 
 def _context(args, parser) -> AlgebraContext:

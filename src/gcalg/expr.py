@@ -33,7 +33,7 @@ from .symbolic import AlgebraElement, projector_element
 __all__ = [
     "EvalError",
     "MAX_PAREN_DEPTH",
-    "MAX_PRODUCT_ENTRIES",
+    "MAX_PRODUCT_WORK",
     "Node",
     "ParseError",
     "UnprintableError",
@@ -51,13 +51,13 @@ __all__ = [
 # recursion limit; past this depth a positioned ParseError is raised instead.
 MAX_PAREN_DEPTH = 200
 
-# Largest product an expression may form, in stored coefficient entries (the
-# terms of an element times the entries each coefficient stores).  A product
-# of elements of sizes s and t stores at most s * t entries and forming it
-# multiplies s * t pairs of entries, so it is refused before it is formed
-# when s * t exceeds this budget.  At N = 256, n = 3 a product near the
-# budget takes under a second; the benchmark's eval products stay below 100.
-MAX_PRODUCT_ENTRIES = 2**16
+# Largest work a product in an expression may take.  Forming the product of
+# elements with s and t terms, whose coefficients store e and f entries in
+# all, merges s * t pairs of 2n-long exponent tuples and multiplies e * f
+# pairs of entries, so it is refused before it is formed when
+# s * t * 2n + e * f exceeds this budget.  A product near the budget takes
+# under a second; the benchmark's eval products stay near 500.
+MAX_PRODUCT_WORK = 2**16
 
 
 class ParseError(ValueError):
@@ -433,12 +433,12 @@ def _stored_size(x: AlgebraElement) -> int:
 
 def _printable_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     # Every product an expression forms, in a chain or a power, passes both
-    # budgets: MAX_PRODUCT_ENTRIES before it is formed, the digit limit after.
-    bound = _stored_size(a) * _stored_size(b)
-    if bound > MAX_PRODUCT_ENTRIES:
+    # budgets: MAX_PRODUCT_WORK before it is formed, the digit limit after.
+    work = len(a.terms) * len(b.terms) * 2 * a.ctx.n + _stored_size(a) * _stored_size(b)
+    if work > MAX_PRODUCT_WORK:
         raise EvalError(
-            f"result too large: a product could store {bound} coefficient entries, "
-            f"more than the budget of {MAX_PRODUCT_ENTRIES}"
+            f"result too large: a product would take {work} steps (term pairs times 2n, "
+            f"plus coefficient entry pairs), more than the budget of {MAX_PRODUCT_WORK}"
         )
     out = a * b
     check_digit_limit([v for coeff in out.terms.values() for v in coeff.coeffs.values()])

@@ -8,7 +8,9 @@ E_k keeps exactly the components with a_k = 0.  A state is a
 :class:`gcalg.cyclo.ExactVector` map from basis labels to amplitudes, the
 same sparse vector type as an algebra element.  Operators act term by term
 on that map, so applying a generator never materializes a matrix;
-``dense_matrix`` exists for exports and cross-checks only.
+``dense_matrix`` exists for exports and cross-checks only, and stores only
+the nonzero entries of each row: at most D times the element's terms for
+dimension D, since every power product is a phased permutation.
 
 Because every generator sends a basis state to a root of unity times a basis
 state, its whole action also fits in a :class:`PhasedPermutation`: for each
@@ -55,7 +57,6 @@ __all__ = [
     "ground_state",
     "ordered_basis_vector",
     "scalar_product",
-    "state_from_json",
     "state_to_json",
 ]
 
@@ -354,23 +355,24 @@ def ordered_basis_vector(ctx: AlgebraContext, digits) -> QuditState:
     return state
 
 
-def dense_matrix(element: AlgebraElement, cap: int = DENSE_CAP_DEFAULT) -> list[list[CycloScalar]]:
-    """Matrix of an element; column j is its action on the j-th basis state.
+def dense_matrix(element: AlgebraElement,
+                 cap: int = DENSE_CAP_DEFAULT) -> list[dict[int, CycloScalar]]:
+    """Rows of an element's matrix; column j is its action on the j-th basis state.
 
+    Row i maps each column position j to the nonzero entry (i, j), in
+    ascending j; an absent column is a zero entry, and no zero is stored.
     Rows and columns follow ``basis_indices`` order (first digit slowest).
     """
     ctx = element.ctx
     check_dense_cap(ctx, cap)
-    dim = ctx.dim
     labels = list(basis_indices(ctx))
     row_of = {label: r for r, label in enumerate(labels)}
-    zero = ctx.zero()
-    mat = [[zero] * dim for _ in range(dim)]
+    rows = [{} for _ in labels]
     for j, label in enumerate(labels):
         column = apply_element(element, basis_state(ctx, label))
         for digits, amp in column.terms.items():
-            mat[row_of[digits]][j] = amp
-    return mat
+            rows[row_of[digits]][j] = amp
+    return rows
 
 
 def state_to_json(state: QuditState) -> dict:
@@ -383,12 +385,3 @@ def state_to_json(state: QuditState) -> dict:
             for digits, amp in sorted(state.terms.items())
         ],
     }
-
-
-def state_from_json(data: dict, zeta_exp: int | None = None) -> QuditState:
-    ctx = AlgebraContext(data["N"], data["n"], zeta_exp)
-    amps = {
-        tuple(term["index"]): CycloScalar.from_json(term["amp"])
-        for term in data["terms"]
-    }
-    return QuditState(ctx, amps)

@@ -122,6 +122,12 @@ def word_equals_element_everywhere(word: Word, element: AlgebraElement) -> bool:
     )
 
 
+def densify(rows, ctx: AlgebraContext) -> list[list[CycloScalar]]:
+    """Every cell of ``dense_matrix``-shaped rows, an absent column as ``ctx.zero()``."""
+    zero = ctx.zero()
+    return [[row.get(j, zero) for j in range(ctx.dim)] for row in rows]
+
+
 def exact_matmul(a, b):
     """Product of two square CycloScalar matrices, exactly."""
     size = len(a)

@@ -7,16 +7,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import gcalg
 from gcalg import AlgebraContext, apply_element, basis_indices, basis_state, eval_element, parse
-from gcalg import cli, expr, rep
+from gcalg import axioms, cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
 from gcalg.cyclo import CycloScalar
-from helpers import random_element
+from helpers import densify, random_element
 
 
 def run(argv, capsys):
@@ -25,27 +26,31 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_process(argv, timeout=60):
-    # A fresh interpreter under a timeout, for inputs that once ran without bound.
+def gcalg_process(argv, **kwargs) -> dict:
+    # The arguments of subprocess.run or Popen for a fresh gcalg interpreter.
     src = str(Path(gcalg.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-m", "gcalg", *argv], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+    return dict(args=[sys.executable, "-m", "gcalg", *argv], text=True,
+                env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+def run_process(argv, timeout=60):
+    # A fresh interpreter under a timeout, for inputs that once ran without bound.
+    done = subprocess.run(**gcalg_process(argv, capture_output=True, timeout=timeout))
     return done.returncode, done.stdout, done.stderr
 
 
 @pytest.fixture
 def written_matrices(monkeypatch):
-    """The matrices that reach ``cli._matrix_output``, in call order."""
+    """The rows that reach ``cli._matrix_chunks``, in call order."""
     built = []
-    original = cli._matrix_output
+    original = cli._matrix_chunks
 
-    def capture(args, matrix, ctx):
-        built.append(matrix)
-        return original(args, matrix, ctx)
+    def capture(rows, fmt, ctx):
+        built.append(rows)
+        return original(rows, fmt, ctx)
 
-    monkeypatch.setattr(cli, "_matrix_output", capture)
+    monkeypatch.setattr(cli, "_matrix_chunks", capture)
     return built
 
 
@@ -70,6 +75,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--N", "3", "--n", "2", "--checks", "nosuch"])
         assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum("invalid choice: 'nosuch'" in line for line in err) == 1
+
+    def test_help_lists_every_check(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in axioms.ALL_CHECKS)
 
     def test_plus_root_with_odd_N_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -254,20 +267,31 @@ class TestEval:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: result too large: ")
-        assert f"more than the budget of {expr.MAX_PRODUCT_ENTRIES}" in err
+        assert f"more than the budget of {expr.MAX_PRODUCT_WORK}" in err
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_product_of_long_exponent_tuples_exits_1(self, n):
+        # 65536 term pairs, each merging 2n exponents: once 5 s at n = 128, 31 s at 1024.
+        text = "(" + "+".join(f"c[{i}]" for i in range(1, 257)) + ")^2"
+        code, out, err = run_process(["eval", "--N", "2", "--n", str(n), text], timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: result too large: ")
 
     def test_term_budget_is_exact(self, monkeypatch, capsys):
-        # (c_1 + c_2 + c_3)^2 at N = 3 is a product of two 3-entry elements.
-        monkeypatch.setattr(expr, "MAX_PRODUCT_ENTRIES", 9)
+        # (c_1 + c_2 + c_3)^2 at N = 3, n = 2 multiplies two elements of 3 terms
+        # and 3 entries: 3 * 3 term pairs times 2n = 4, plus 3 * 3 entry pairs.
+        monkeypatch.setattr(expr, "MAX_PRODUCT_WORK", 45)
         for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
             code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 0
-        monkeypatch.setattr(expr, "MAX_PRODUCT_ENTRIES", 8)
+        monkeypatch.setattr(expr, "MAX_PRODUCT_WORK", 44)
         for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
             code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 1 and out == ""
-            assert err == ("error: result too large: a product could store 9 coefficient "
-                           "entries, more than the budget of 8\n")
+            assert err == ("error: result too large: a product would take 45 steps (term pairs "
+                           "times 2n, plus coefficient entry pairs), more than the budget of 44\n")
 
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)
@@ -360,12 +384,11 @@ class TestGram:
                     assert cell == 0
                     assert rows[i][j]["coeffs"] == []  # exactly zero, not small
 
-    def test_off_diagonal_cells_share_one_zero(self, written_matrices, capsys):
+    def test_each_row_holds_only_its_diagonal_entry(self, written_matrices, capsys):
         code, _, _ = run(["gram", "--N", "3", "--n", "2", "--format", "csv"], capsys)
         assert code == 0
-        matrix, = written_matrices
-        cells = {id(cell) for i, row in enumerate(matrix) for j, cell in enumerate(row) if i != j}
-        assert len(cells) == 1
+        rows, = written_matrices
+        assert [list(row) for row in rows] == [[i] for i in range(9)]
 
     def test_text_format(self, capsys):
         code, out, _ = run(["gram", "--N", "2", "--n", "1"], capsys)
@@ -417,7 +440,7 @@ def test_matrix_output_matches_the_per_cell_writers(N, n, sign, capsys):
         while not element.terms:
             element = random_element(rng, ctx)
         text = expr.print_canonical(element)
-        matrix = rep.dense_matrix(eval_element(parse(text), ctx))
+        matrix = densify(rep.dense_matrix(eval_element(parse(text), ctx)), ctx)
         for fmt in FORMATS:
             code, out, _ = run(["matrix", *context_flags(N, n, sign), "--format", fmt, text],
                                capsys)
@@ -434,15 +457,14 @@ def test_gram_matches_all_pairs(N, n, sign, fmt, written_matrices, capsys):
     code, out, _ = run(["gram", *context_flags(N, n, sign), "--format", fmt], capsys)
     assert code == 0
     assert out == oracle_output(expected, fmt, ctx)
-    matrix, = written_matrices
+    rows, = written_matrices
 
-    def stored(rows):  # each cell's stored map, key order included
-        return [[list(cell.coeffs.items()) for cell in row] for row in rows]
+    def stored(matrix):  # each cell's stored map, key order included
+        return [[list(cell.coeffs.items()) for cell in row] for row in matrix]
 
-    assert stored(matrix) == stored(expected)
-    off_diagonal = {id(cell) for i, row in enumerate(matrix) for j, cell in enumerate(row)
-                    if i != j}
-    assert off_diagonal == {id(ctx.zero())}
+    assert stored(densify(rows, ctx)) == stored(expected)
+    assert all(not expected[i][j].coeffs
+               for i, row in enumerate(rows) for j in range(ctx.dim) if j not in row)
 
 
 def test_gram_computes_only_the_cells_whose_supports_meet(monkeypatch, capsys):
@@ -472,3 +494,55 @@ def test_each_distinct_cell_is_encoded_once(monkeypatch, capsys):
     assert code == 0
     assert len(out.splitlines()) == 16
     assert len(encoded) == len({id(v) for v in encoded}) <= 17  # 16 diagonal cells, one zero
+
+
+@pytest.mark.parametrize("command", [["gram"], ["matrix", "c[1]+c[2]"]])
+def test_dense_export_peaks_below_a_quarter_of_its_output(command, tmp_path):
+    # Rows are written as they are encoded: no buffer grows with the output.
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        code = main([command[0], "--N", "3", "--n", "5", "--format", "json",
+                     "--output", str(target), *command[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size / 4
+
+
+@pytest.mark.parametrize("command", [["gram"], ["matrix", "c[1] + (1 - q) c[2] c[3]"]])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_output_file_equals_stdout(command, fmt, tmp_path, capsys):
+    flags = [command[0], *context_flags(3, 2, "-"), "--format", fmt]
+    code, out, _ = run([*flags, *command[1:]], capsys)
+    assert code == 0
+    target = tmp_path / "out"
+    code, _, _ = run([*flags, "--output", str(target), *command[1:]], capsys)
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+
+
+class TestStdoutFailure:
+    def test_full_device_exits_1(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(**gcalg_process(["eval", "--N", "2", "--n", "1", "c[1]"],
+                                                  stdout=full, stderr=subprocess.PIPE,
+                                                  timeout=60))
+        assert done.returncode == 1
+        assert done.stderr == "error: stdout: No space left on device\n"
+
+    def test_pipe_closed_after_one_line_exits_1(self):
+        proc = subprocess.Popen(**gcalg_process(["gram", "--N", "2", "--n", "10", "--format", "csv"],
+                                                stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        try:
+            assert proc.stdout.readline().startswith('"1,0","0,0",')
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        assert err == "error: stdout: Broken pipe\n"
