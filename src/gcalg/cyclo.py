@@ -246,9 +246,15 @@ class CycloScalar:
         """This scalar times w^k: every stored exponent shifted by k.
 
         The stored map equals that of ``self * CycloScalar.root(order, k)``.
+        A root w^e (one term, int coefficient 1) gives the shared cached root.
         """
         m = self.order
-        return CycloScalar._raw(m, {(e + k) % m: v for e, v in self.coeffs.items()})
+        coeffs = self.coeffs
+        if len(coeffs) == 1:
+            (e, v), = coeffs.items()
+            if type(v) is int and v == 1:
+                return _root(m, (e + k) % m)
+        return CycloScalar._raw(m, {(e + k) % m: v for e, v in coeffs.items()})
 
     def conj(self) -> CycloScalar:
         """Complex conjugate: w^k -> w^{-k}, rationals fixed."""
@@ -295,6 +301,8 @@ class CycloScalar:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, CycloScalar):
             if other.order != self.order:
                 return False

@@ -419,10 +419,23 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
             out = _printable_product(out, _eval_operator(child, ctx))
         return out
     if kind == "sum":
-        out = AlgebraElement.zero(ctx)
+        # One map takes every child in turn, as the fold out = out + child
+        # would: a key a child adds to is summed and then zero-tested, so
+        # stored forms and key order match the fold without re-merging the
+        # running sum per child.
+        terms = {}
         for child in node.children:
-            out = out + _eval_operator(child, ctx)
-        return out
+            summed = []
+            for key, value in _eval_operator(child, ctx).terms.items():
+                if key in terms:
+                    terms[key] = terms[key] + value
+                    summed.append(key)
+                else:
+                    terms[key] = value
+            for key in summed:
+                if terms[key].is_zero():
+                    del terms[key]
+        return AlgebraElement._raw(ctx, terms)
     raise EvalError(f"expected an operator expression, found a {kind} node")
 
 

@@ -1,7 +1,9 @@
 """States of n qudits with exact amplitudes, and the generator action.
 
-Basis states carry labels (a_1, ..., a_n) with digits in [0, N).  Every
-generator is a generalized permutation: on a basis label the even generator
+Basis states carry labels (a_1, ..., a_n) with digits in [0, N);
+``basis_states`` lists every label with its basis state, in row-major order,
+for the checks and exports that walk the whole basis.  Every generator is a
+generalized permutation: on a basis label the even generator
 c_{2k} increments a_k mod N and multiplies by q^{-(a_1+...+a_{k-1})}, while
 the odd generator c_{2k-1} contributes an extra zeta q^{a_k}.  The projector
 E_k keeps exactly the components with a_k = 0.  A state is a
@@ -51,6 +53,7 @@ __all__ = [
     "basis_indices",
     "basis_label",
     "basis_state",
+    "basis_states",
     "check_dense_cap",
     "dense_matrix",
     "generator_table",
@@ -127,6 +130,12 @@ def basis_indices(ctx: AlgebraContext):
     return itertools.product(range(ctx.N), repeat=ctx.n)
 
 
+def basis_states(ctx: AlgebraContext) -> list[tuple[BasisIndex, QuditState]]:
+    """``(label, |label>)`` for every basis label, in ``basis_indices`` order."""
+    one = ctx.one()
+    return [(label, QuditState._raw(ctx, {label: one})) for label in basis_indices(ctx)]
+
+
 def basis_label(ctx: AlgebraContext, position: int) -> BasisIndex:
     """The basis label at a row-major position, the inverse of ``basis_indices`` order."""
     if not 0 <= position < ctx.dim:
@@ -149,9 +158,11 @@ def _raise_digit(k: int, state: QuditState, zeta_power: int) -> QuditState:
     zeta = ctx.zeta_exp * zeta_power  # the w-exponent of zeta^z
     out = {}
     for digits, amp in state.terms.items():
-        head = sum(digits[: k - 1])
-        nd = digits[: k - 1] + ((digits[k - 1] + 1) % N,) + digits[k:]
-        out[nd] = amp.times_root(zeta + 2 * (zeta_power * digits[k - 1] - head))
+        head = digits[: k - 1]
+        ak = digits[k - 1]
+        out[(*head, (ak + 1) % N, *digits[k:])] = amp.times_root(
+            zeta + 2 * (zeta_power * ak - sum(head))
+        )
     return QuditState._raw(ctx, out)
 
 
@@ -176,8 +187,9 @@ def apply_projector(k: int, state: QuditState) -> QuditState:
 
 def apply_generator(i: int, state: QuditState) -> QuditState:
     """Action of c_i, dispatching on the parity of the generator index."""
-    if not 1 <= i <= state.ctx.num_generators:
-        raise ValueError(f"generator index {i} out of range 1..{state.ctx.num_generators}")
+    top = 2 * state.ctx.n
+    if not 1 <= i <= top:
+        raise ValueError(f"generator index {i} out of range 1..{top}")
     if i % 2:
         return apply_odd((i + 1) // 2, state)
     return apply_even(i // 2, state)
@@ -185,7 +197,7 @@ def apply_generator(i: int, state: QuditState) -> QuditState:
 
 def apply_word(word: Word, state: QuditState) -> QuditState:
     """Apply a word letter by letter, rightmost letter acting first."""
-    if word.ctx != state.ctx:
+    if word.ctx is not state.ctx and word.ctx != state.ctx:
         raise ContextMismatchError("word and state from different contexts")
     for letter in reversed(word.letters):
         state = apply_generator(letter, state)
@@ -252,8 +264,8 @@ class PhasedPermutation:
         perm, phase = self.perm, self.phase
         return PhasedPermutation._raw(
             self.ctx,
-            tuple(perm[b] for b in other.perm),
-            tuple((f + phase[b]) % m for b, f in zip(other.perm, other.phase)),
+            tuple([perm[b] for b in other.perm]),
+            tuple([(f + phase[b]) % m for b, f in zip(other.perm, other.phase)]),
         )
 
     def __pow__(self, k: int) -> PhasedPermutation:
@@ -307,11 +319,12 @@ def generator_table(ctx: AlgebraContext, i: int) -> PhasedPermutation:
     Raises NotPhasedPermutationError, naming the first basis state whose
     image is not a single term +-w^k on a basis label.
     """
-    position = {label: j for j, label in enumerate(basis_indices(ctx))}
+    states = basis_states(ctx)
+    position = {label: j for j, (label, _) in enumerate(states)}
     perm = []
     phase = []
-    for label in position:
-        out = apply_generator(i, basis_state(ctx, label))
+    for label, state in states:
+        out = apply_generator(i, state)
         if len(out.terms) != 1:
             raise NotPhasedPermutationError(
                 f"c_{i}|{label}> has {len(out.terms)} terms, expected 1"
@@ -365,11 +378,11 @@ def dense_matrix(element: AlgebraElement,
     """
     ctx = element.ctx
     check_dense_cap(ctx, cap)
-    labels = list(basis_indices(ctx))
-    row_of = {label: r for r, label in enumerate(labels)}
-    rows = [{} for _ in labels]
-    for j, label in enumerate(labels):
-        column = apply_element(element, basis_state(ctx, label))
+    states = basis_states(ctx)
+    row_of = {label: r for r, (label, _) in enumerate(states)}
+    rows = [{} for _ in states]
+    for j, (_, state) in enumerate(states):
+        column = apply_element(element, state)
         for digits, amp in column.terms.items():
             rows[row_of[digits]][j] = amp
     return rows

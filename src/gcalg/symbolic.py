@@ -170,7 +170,10 @@ class AlgebraElement(ExactVector):
 
     @classmethod
     def generator(cls, ctx: AlgebraContext, i: int) -> AlgebraElement:
-        return NormalMonomial.generator(ctx, i).to_element()
+        top = ctx.num_generators
+        if not 1 <= i <= top:
+            raise ValueError(f"generator index {i} out of range 1..{top}")
+        return cls._raw(ctx, {(0,) * (i - 1) + (1,) + (0,) * (top - i): ctx.one()})
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):

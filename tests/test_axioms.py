@@ -1,5 +1,7 @@
 """Tests for the identity-verification suite."""
 
+import random
+
 import pytest
 
 from gcalg import (
@@ -213,6 +215,40 @@ class TestOneBodyPerCheck:
         monkeypatch.setattr(rep, "_raise_digit", conjugating)
         failed = [r.name for r in run_suite(AlgebraContext(N, n, zeta_exp)) if not r.passed]
         assert failed == ["homomorphism"]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("N,n,zeta_exp", [
+        (N, n, exp) for N, n in ((3, 2), (2, 3)) for exp in admissible_zeta_exps(N)
+    ])
+    def test_homomorphism_applies_every_letter_to_every_basis_state(
+        self, N, n, zeta_exp, seed, monkeypatch
+    ):
+        # The oracle's coverage is pinned: each letter of each seeded word
+        # goes through rep.apply_generator once per basis state, and a fault
+        # patched in after the tables are built still reaches it.
+        ctx = AlgebraContext(N, n, zeta_exp)
+        tables = [rep.generator_table(ctx, i) for i in range(1, 2 * n + 1)]
+        rng = random.Random(seed)
+        letters = 0
+        for _ in range(axioms.HOMOMORPHISM_TRIALS_DEFAULT):
+            length = rng.randint(0, axioms.HOMOMORPHISM_MAX_LEN_DEFAULT)
+            letters += length
+            for _ in range(length):
+                rng.randint(1, 2 * n)
+        calls = []
+        original = rep.apply_generator
+        monkeypatch.setattr(rep, "apply_generator", lambda i, s: calls.append(i) or original(i, s))
+        assert check_homomorphism(ctx, seed=seed, tables=tables).passed
+        assert len(calls) == ctx.dim * letters
+        monkeypatch.undo()
+
+        raise_digit = rep._raise_digit
+        monkeypatch.setattr(
+            rep, "_raise_digit", lambda k, s, z: ctx.omega(1) * raise_digit(k, s, z)
+        )
+        report = check_homomorphism(ctx, seed=seed, tables=tables)
+        assert not report.passed
+        assert " vs its normal form on |" in report.counterexample
 
     def test_counterexample_wording(self, monkeypatch):
         ctx = AlgebraContext(3, 2)

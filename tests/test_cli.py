@@ -279,6 +279,14 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith("error: result too large: ")
 
+    def test_long_written_out_sum_is_fast(self):
+        # Once 14.3 s: every child re-merged the running sum of 2n-long keys.
+        text = "+".join(f"c[{i}]" for i in range(1, 1025))
+        code, out, err = run_process(["eval", "--N", "2", "--n", "1024", text], timeout=30)
+        assert code == 0
+        assert err == ""
+        assert out == " + ".join(f"c[{i}]" for i in range(1024, 0, -1)) + "\n"
+
     def test_term_budget_is_exact(self, monkeypatch, capsys):
         # (c_1 + c_2 + c_3)^2 at N = 3, n = 2 multiplies two elements of 3 terms
         # and 3 entries: 3 * 3 term pairs times 2n = 4, plus 3 * 3 entry pairs.

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcalg import run_suite
 from gcalg.cyclo import (
     AlgebraContext,
     ContextMismatchError,
     CycloScalar,
+    _root,
     admissible_zeta_exps,
     cyclotomic_polynomial,
 )
@@ -288,6 +290,33 @@ class TestUnitRootFastPath:
             shifted = x.times_root(k)
             assert repr(shifted) == repr(product)
             assert _stored(shifted) == _stored(product)
+        # The shared-root shortcut and the dict shift must agree on roots,
+        # negated roots and rational multiples of one root, including a
+        # stored Fraction(1) that is not the int 1 of a cached root.
+        for _ in range(500):
+            ctx = AlgebraContext(rng.randint(2, 6), 1)
+            m = ctx.order
+            j = rng.randrange(m)
+            d = rng.randint(1, 4)
+            x = rng.choice([
+                ctx.omega(j),
+                -ctx.omega(j),
+                Fraction(rng.randint(-4, 4), d) * ctx.omega(j),
+                (ctx.omega(j) * Fraction(1, d)) * d,
+            ])
+            k = rng.randint(-2 * m, 2 * m)
+            product = x * CycloScalar.root(m, k)
+            shifted = x.times_root(k)
+            assert repr(shifted) == repr(product)
+            assert _stored(shifted) == _stored(product)
+            if x is ctx.omega(j):
+                assert shifted is ctx.omega(j + k)
+
+    def test_cached_roots_survive_a_suite_run(self):
+        # times_root hands out the cached roots themselves; none may be altered.
+        assert all(r.passed for r in run_suite(AlgebraContext(4, 2)))
+        for k in range(8):
+            assert _stored(_root(8, k)) == [(k, int, 1)]
 
 
 _orders = st.sampled_from([4, 6, 8, 10, 12])

@@ -1,5 +1,7 @@
 """Tests for the expression parser, evaluator, and canonical printer."""
 
+import functools
+import operator
 import random
 import sys
 
@@ -227,6 +229,39 @@ class TestEvaluation:
             eval_state(parse("|0,0,0>"), ctx)
         with pytest.raises(EvalError):
             eval_scalar(parse("<0|0,0>"), ctx)
+
+
+def _stored_terms(x):
+    # Keys in stored order, each with its stored coefficient map and types.
+    return [(k, [(e, type(v), v) for e, v in c.coeffs.items()]) for k, c in x.terms.items()]
+
+
+class TestSums:
+    def test_sum_matches_the_pairwise_fold(self):
+        # Children that cancel, plainly (x and -x) or only modulo Phi_2N
+        # (q^0 x + ... + q^(N-1) x), and are added again later must leave the
+        # stored forms and key order that out = out + child leaves.
+        rng = random.Random(9)
+        cancelled = 0
+        for _ in range(80):
+            ctx = AlgebraContext(rng.randint(2, 5), rng.randint(1, 2))
+            pool = [print_canonical(random_element(rng, ctx, 3), ctx) for _ in range(3)]
+            children = []
+            for _ in range(rng.randint(2, 6)):
+                x = rng.choice(pool)
+                if rng.random() < 0.4:
+                    children += [f"q^{k} ({x})" for k in range(ctx.N)]
+                else:
+                    children += [f"({x})", f"(-1) ({x})"][: rng.randint(1, 2)]
+            ast = parse(" + ".join(children))
+            assert ast.kind == "sum"
+            parts = [eval_element(child, ctx) for child in ast.children]
+            fold = functools.reduce(operator.add, parts)
+            got = eval_element(ast, ctx)
+            assert repr(got) == repr(fold)
+            assert _stored_terms(got) == _stored_terms(fold)
+            cancelled += len(fold.terms) < len({k for part in parts for k in part.terms})
+        assert cancelled > 10
 
 
 class TestPrinting:
