@@ -67,9 +67,10 @@ from .rep import (
     basis_state,
     check_dense_cap,
     dense_matrix,
-    generator_table,
+    generator_tables,
+    gram,
     ground_state,
-    ordered_basis_vector,
+    ordered_basis,
     scalar_product,
     state_to_json,
 )

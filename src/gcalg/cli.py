@@ -6,8 +6,9 @@ byte-identical output.
 
 Dense exports (``matrix``, ``gram``) have D^2 cells for dimension D, but at
 most D * terms of them are nonzero.  So both are held as ``rep.dense_matrix``
-rows, maps from column position to nonzero entry; ``gram`` computes only the
-cells whose supports meet.  ``matrix`` checks every stored entry before the
+rows, maps from column position to nonzero entry; ``gram`` writes
+``rep.gram``, the same Gram matrix that the orthonormal-basis check compares
+with the identity.  ``matrix`` checks every stored entry before the
 first byte is written, and the writer encodes the zero cell once and each
 stored entry once, writing each row as it is encoded.
 """
@@ -233,24 +234,10 @@ def cmd_matrix(args, parser) -> int:
 
 
 def cmd_gram(args, parser) -> int:
-    """Gram matrix of the ordered basis vectors, as ``rep.dense_matrix`` rows.
-
-    ``scalar_product`` runs only on pairs whose supports share a basis
-    label; every other cell is zero.
-    """
+    """Write ``rep.gram``, the Gram matrix of the ordered basis vectors."""
     ctx = _context(args, parser)
     rep.check_dense_cap(ctx, args.dense_cap)
-    vectors = [rep.ordered_basis_vector(ctx, digits) for digits in rep.basis_indices(ctx)]
-    holders = {}  # basis label -> positions of the vectors whose support holds it
-    for j, vector in enumerate(vectors):
-        for label in vector.terms:
-            holders.setdefault(label, []).append(j)
-    rows = [
-        {j: rep.scalar_product(vr, vectors[j])
-         for j in sorted({j for label in vr.terms for j in holders[label]})}
-        for vr in vectors
-    ]
-    return _write(args, _matrix_chunks(rows, args.format, ctx))
+    return _write(args, _matrix_chunks(rep.gram(ctx), args.format, ctx))
 
 
 def _context(args, parser) -> AlgebraContext:

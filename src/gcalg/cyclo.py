@@ -335,10 +335,6 @@ class CycloScalar:
             "approx": {"re": z.real, "im": z.imag},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> CycloScalar:
-        return cls(data["order"], {int(k): Fraction(v) for k, v in data["coeffs"]})
-
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in sorted(self.coeffs.items()))
         return f"CycloScalar({self.order}, {{{body}}})"

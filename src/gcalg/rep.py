@@ -1,25 +1,30 @@
 """States of n qudits with exact amplitudes, and the generator action.
 
 Basis states carry labels (a_1, ..., a_n) with digits in [0, N);
-``basis_states`` lists every label with its basis state, in row-major order,
-for the checks and exports that walk the whole basis.  Every generator is a
-generalized permutation: on a basis label the even generator
-c_{2k} increments a_k mod N and multiplies by q^{-(a_1+...+a_{k-1})}, while
-the odd generator c_{2k-1} contributes an extra zeta q^{a_k}.  The projector
-E_k keeps exactly the components with a_k = 0.  A state is a
-:class:`gcalg.cyclo.ExactVector` map from basis labels to amplitudes, the
-same sparse vector type as an algebra element.  Operators act term by term
-on that map, so applying a generator never materializes a matrix;
-``dense_matrix`` exists for exports and cross-checks only, and stores only
-the nonzero entries of each row: at most D times the element's terms for
-dimension D, since every power product is a phased permutation.
+``basis_states`` lists every label with its basis state, in row-major order.
+Each object built over the whole basis has one builder here, which the
+checks and the exports read: ``generator_tables``, ``ordered_basis`` (the
+vectors c_2^{a_1} ... c_{2n}^{a_n}|0..0>), their ``gram`` matrix and
+``dense_matrix``.
+
+Every generator is a generalized permutation: on a basis label the even
+generator c_{2k} increments a_k mod N and multiplies by
+q^{-(a_1+...+a_{k-1})}, while the odd generator c_{2k-1} contributes an
+extra zeta q^{a_k}.  The projector E_k keeps exactly the components with
+a_k = 0.  A state is a :class:`gcalg.cyclo.ExactVector` map from basis
+labels to amplitudes, the same sparse vector type as an algebra element.
+Operators act term by term on that map, so applying a generator never
+materializes a matrix; ``dense_matrix`` exists for exports and cross-checks
+only, and stores only the nonzero entries of each row: at most D times the
+element's terms for dimension D, since every power product is a phased
+permutation.
 
 Because every generator sends a basis state to a root of unity times a basis
 state, its whole action also fits in a :class:`PhasedPermutation`: for each
 row-major basis position, a target position and an exponent of
-w = exp(i*pi/N).  ``generator_table`` reads such a table off ``apply_generator``
-one basis state at a time, and products, powers and adjoints of the tables are
-then exact integer arithmetic.
+w = exp(i*pi/N).  ``generator_tables`` reads the 2n tables off
+``apply_generator`` one basis state at a time, and products, powers and
+adjoints of the tables are then exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -56,9 +61,10 @@ __all__ = [
     "basis_states",
     "check_dense_cap",
     "dense_matrix",
-    "generator_table",
+    "generator_tables",
+    "gram",
     "ground_state",
-    "ordered_basis_vector",
+    "ordered_basis",
     "scalar_product",
     "state_to_json",
 ]
@@ -313,34 +319,41 @@ class PhasedPermutation:
         )
 
 
-def generator_table(ctx: AlgebraContext, i: int) -> PhasedPermutation:
-    """Table of c_i, read off by applying ``apply_generator`` to every basis state.
+def generator_tables(ctx: AlgebraContext) -> list[PhasedPermutation]:
+    """Tables of c_1 .. c_2n, read off by applying ``apply_generator`` to every basis state.
 
-    Raises NotPhasedPermutationError, naming the first basis state whose
-    image is not a single term +-w^k on a basis label.
+    The basis states and the label -> position map are built once for all
+    2n tables.  Raises NotPhasedPermutationError, naming the first basis
+    state of the first generator whose image is not a single term +-w^k on
+    a basis label.
     """
     states = basis_states(ctx)
     position = {label: j for j, (label, _) in enumerate(states)}
-    perm = []
-    phase = []
-    for label, state in states:
-        out = apply_generator(i, state)
-        if len(out.terms) != 1:
-            raise NotPhasedPermutationError(
-                f"c_{i}|{label}> has {len(out.terms)} terms, expected 1"
-            )
-        (target, amp), = out.terms.items()
-        j = position.get(target)
-        if j is None:
-            raise NotPhasedPermutationError(f"c_{i}|{label}> lands on {target}, not a basis label")
-        k = amp.root_exponent()
-        if k is None:
-            raise NotPhasedPermutationError(
-                f"c_{i}|{label}> has amplitude {amp}, expected a root of unity"
-            )
-        perm.append(j)
-        phase.append(k)
-    return PhasedPermutation._raw(ctx, tuple(perm), tuple(phase))
+    tables = []
+    for i in range(1, ctx.num_generators + 1):
+        perm = []
+        phase = []
+        for label, state in states:
+            out = apply_generator(i, state)
+            if len(out.terms) != 1:
+                raise NotPhasedPermutationError(
+                    f"c_{i}|{label}> has {len(out.terms)} terms, expected 1"
+                )
+            (target, amp), = out.terms.items()
+            j = position.get(target)
+            if j is None:
+                raise NotPhasedPermutationError(
+                    f"c_{i}|{label}> lands on {target}, not a basis label"
+                )
+            k = amp.root_exponent()
+            if k is None:
+                raise NotPhasedPermutationError(
+                    f"c_{i}|{label}> has amplitude {amp}, expected a root of unity"
+                )
+            perm.append(j)
+            phase.append(k)
+        tables.append(PhasedPermutation._raw(ctx, tuple(perm), tuple(phase)))
+    return tables
 
 
 def scalar_product(a: QuditState, b: QuditState) -> CycloScalar:
@@ -354,18 +367,38 @@ def scalar_product(a: QuditState, b: QuditState) -> CycloScalar:
     return total
 
 
-def ordered_basis_vector(ctx: AlgebraContext, digits) -> QuditState:
-    """Apply c_2^{a_1} c_4^{a_2} ... c_{2n}^{a_n} to the ground state.
+def ordered_basis(ctx: AlgebraContext) -> list[QuditState]:
+    """The vectors c_2^{a_1} c_4^{a_2} ... c_{2n}^{a_n}|0..0>, in ``basis_indices`` order.
 
-    The rightmost factor acts first, so the n-th qudit's digit fills first.
+    The rightmost factor acts first, so the n-th qudit's digit fills first,
+    and the leftmost letter is c_{2p} for the first nonzero digit a_p.  So
+    the vector of a is ``apply_even(p, v)``, where v is the vector of a - e_p,
+    found one stride N^(n-p) earlier: every letter of the definition, with
+    each shared tail applied once.
     """
-    digits = tuple(digits)
-    _check_digits(ctx, digits)
-    state = ground_state(ctx)
-    for pos in range(ctx.n, 0, -1):
-        for _ in range(digits[pos - 1]):
-            state = apply_even(pos, state)
-    return state
+    vectors = [ground_state(ctx)]  # a = 0 comes first in row-major order
+    for j, digits in enumerate(itertools.islice(basis_indices(ctx), 1, None), start=1):
+        p = next(k for k, d in enumerate(digits, start=1) if d)
+        vectors.append(apply_even(p, vectors[j - ctx.N ** (ctx.n - p)]))
+    return vectors
+
+
+def gram(ctx: AlgebraContext) -> list[dict[int, CycloScalar]]:
+    """Gram matrix of ``ordered_basis``, as ``dense_matrix`` rows.
+
+    ``scalar_product`` runs only on pairs whose supports share a basis
+    label; every other cell is zero and absent from its row.
+    """
+    vectors = ordered_basis(ctx)
+    holders = {}  # basis label -> positions of the vectors whose support holds it
+    for j, vector in enumerate(vectors):
+        for label in vector.terms:
+            holders.setdefault(label, []).append(j)
+    return [
+        {j: scalar_product(vr, vectors[j])
+         for j in sorted({j for label in vr.terms for j in holders[label]})}
+        for vr in vectors
+    ]
 
 
 def dense_matrix(element: AlgebraElement,

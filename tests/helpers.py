@@ -12,9 +12,11 @@ from gcalg import (
     QuditState,
     Word,
     apply_element,
+    apply_even,
     apply_word,
     basis_indices,
     basis_state,
+    ground_state,
     normal_order,
 )
 
@@ -141,3 +143,20 @@ def exact_matmul(a, b):
             row.append(total)
         out.append(row)
     return out
+
+
+def scalar_from_json(data: dict) -> CycloScalar:
+    """The exact scalar of a JSON cell, read from its ``"order"`` and ``"coeffs"``."""
+    return CycloScalar(data["order"], {k: Fraction(v) for k, v in data["coeffs"]})
+
+
+def ordered_basis_vector(ctx: AlgebraContext, digits) -> QuditState:
+    """The oracle of ``rep.ordered_basis``: c_2^{a_1} ... c_{2n}^{a_n}|0..0>, letter by letter.
+
+    The rightmost factor acts first, so the n-th qudit's digit fills first.
+    """
+    state = ground_state(ctx)
+    for pos in range(ctx.n, 0, -1):
+        for _ in range(digits[pos - 1]):
+            state = apply_even(pos, state)
+    return state

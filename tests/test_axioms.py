@@ -126,7 +126,7 @@ class TestFailureReporting:
 
     def test_selection_without_table_checks_builds_no_tables(self, monkeypatch):
         ctx = AlgebraContext(3, 2)
-        monkeypatch.setattr(rep, "generator_table", None)
+        monkeypatch.setattr(rep, "generator_tables", None)
         names = [r.name for r in run_suite(ctx, ["zeta_root", "ground_identity"])]
         assert names == ["zeta_root", "ground_identity"]
 
@@ -166,10 +166,10 @@ class TestOneBodyPerCheck:
     def test_whole_suite_builds_each_generator_table_once(self, monkeypatch):
         ctx = AlgebraContext(3, 2)
         built = []
-        original = rep.generator_table
-        monkeypatch.setattr(rep, "generator_table", lambda c, i: built.append(i) or original(c, i))
+        original = rep.generator_tables
+        monkeypatch.setattr(rep, "generator_tables", lambda c: built.append(c) or original(c))
         assert all(r.passed for r in run_suite(ctx))
-        assert sorted(built) == list(range(1, 2 * ctx.n + 1))
+        assert built == [ctx]
 
     def test_suite_calls_each_check_through_the_module(self, monkeypatch):
         # Spans are installed as module attributes after import; run_suite
@@ -200,6 +200,29 @@ class TestOneBodyPerCheck:
         detail = reports["projector_identity"].counterexample
         assert detail.startswith("k=1 on |(1, 0)>: c_1 gives ")
 
+    def test_projector_identity_acts_only_on_kept_states(self, monkeypatch):
+        # E_k keeps 3 of the 9 basis states of (3, 2) for each k; the other
+        # 12 cases are 0 = 0 and need no generator.
+        ctx = AlgebraContext(3, 2)
+        calls = {"apply_projector": 0, "apply_odd": 0, "apply_even": 0}
+        for target in calls:
+            def counting(k, s, _target=target, _original=getattr(rep, target)):
+                calls[_target] += 1
+                return _original(k, s)
+            monkeypatch.setattr(rep, target, counting)
+        assert axioms.check_projector_identity(ctx).passed
+        assert calls == {"apply_projector": 18, "apply_odd": 6, "apply_even": 6}
+
+    def test_orthonormal_basis_reports_the_first_bad_gram_cell(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        original = rep.apply_even
+        monkeypatch.setattr(rep, "apply_even", lambda k, s: 2 * original(k, s))
+        report = axioms.check_orthonormal_basis(ctx)
+        assert report.counterexample == "Gram[(0, 1)][(0, 1)] = 4, expected 1"
+        monkeypatch.setattr(rep, "apply_even", lambda k, s: s if k == 1 else original(k, s))
+        report = axioms.check_orthonormal_basis(ctx)
+        assert report.counterexample == "Gram[(0, 0)][(1, 0)] = 1, expected 0"
+
     @pytest.mark.parametrize("N,n,zeta_exp", [
         (N, n, exp) for N, n in ((3, 2), (2, 3), (4, 2)) for exp in admissible_zeta_exps(N)
     ])
@@ -227,7 +250,7 @@ class TestOneBodyPerCheck:
         # goes through rep.apply_generator once per basis state, and a fault
         # patched in after the tables are built still reaches it.
         ctx = AlgebraContext(N, n, zeta_exp)
-        tables = [rep.generator_table(ctx, i) for i in range(1, 2 * n + 1)]
+        tables = rep.generator_tables(ctx)
         rng = random.Random(seed)
         letters = 0
         for _ in range(axioms.HOMOMORPHISM_TRIALS_DEFAULT):

@@ -16,8 +16,7 @@ import gcalg
 from gcalg import AlgebraContext, apply_element, basis_indices, basis_state, eval_element, parse
 from gcalg import axioms, cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
-from gcalg.cyclo import CycloScalar
-from helpers import densify, random_element
+from helpers import densify, ordered_basis_vector, random_element, scalar_from_json
 
 
 def run(argv, capsys):
@@ -312,15 +311,15 @@ class TestMatrix:
         code, out, _ = run(["matrix", "--N", "2", "--n", "1", "--format", "json", "1"], capsys)
         assert code == 0
         rows = json.loads(out)
-        assert CycloScalar.from_json(rows[0][0]) == 1
-        assert CycloScalar.from_json(rows[0][1]) == 0
-        assert CycloScalar.from_json(rows[1][1]) == 1
+        assert scalar_from_json(rows[0][0]) == 1
+        assert scalar_from_json(rows[0][1]) == 0
+        assert scalar_from_json(rows[1][1]) == 1
 
     def test_qubit_flip(self, capsys):
         code, out, _ = run(["matrix", "--N", "2", "--n", "1", "--format", "json", "c[2]"], capsys)
         assert code == 0
         rows = json.loads(out)
-        values = [[CycloScalar.from_json(cell) for cell in row] for row in rows]
+        values = [[scalar_from_json(cell) for cell in row] for row in rows]
         assert values[0][1] == 1 and values[1][0] == 1
         assert values[0][0] == 0 and values[1][1] == 0
 
@@ -344,7 +343,7 @@ class TestMatrix:
         for j, label in enumerate(labels):
             column = apply_element(element, basis_state(ctx, label))
             for i, row_label in enumerate(labels):
-                assert CycloScalar.from_json(rows[i][j]) == column.amplitude(row_label)
+                assert scalar_from_json(rows[i][j]) == column.amplitude(row_label)
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_dense_cap_is_usage_error(self, cap, capsys):
@@ -385,7 +384,7 @@ class TestGram:
         assert len(rows) == dim
         for i in range(dim):
             for j in range(dim):
-                cell = CycloScalar.from_json(rows[i][j])
+                cell = scalar_from_json(rows[i][j])
                 if i == j:
                     assert cell == 1
                 else:
@@ -460,7 +459,7 @@ def test_matrix_output_matches_the_per_cell_writers(N, n, sign, capsys):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_gram_matches_all_pairs(N, n, sign, fmt, written_matrices, capsys):
     ctx = AlgebraContext.from_sign(N, n, sign)
-    vectors = [rep.ordered_basis_vector(ctx, digits) for digits in basis_indices(ctx)]
+    vectors = [ordered_basis_vector(ctx, digits) for digits in basis_indices(ctx)]
     expected = [[rep.scalar_product(vr, vc) for vc in vectors] for vr in vectors]
     code, out, _ = run(["gram", *context_flags(N, n, sign), "--format", fmt], capsys)
     assert code == 0

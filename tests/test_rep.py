@@ -21,16 +21,17 @@ from gcalg import (
     basis_label,
     basis_state,
     dense_matrix,
-    generator_table,
+    generator_tables,
     ground_state,
     normal_order,
-    ordered_basis_vector,
+    ordered_basis,
     projector_element,
     scalar_product,
     state_to_json,
 )
 from helpers import (
     densify,
+    ordered_basis_vector,
     exact_matmul,
     random_element,
     random_scalar,
@@ -277,25 +278,29 @@ class TestDenseMatrix:
 class TestOrderedBasis:
     def test_all_zero_digits_give_ground(self):
         ctx = AlgebraContext(3, 2)
-        assert ordered_basis_vector(ctx, (0, 0)) == ground_state(ctx)
+        assert ordered_basis(ctx)[0] == ground_state(ctx)
 
     def test_first_digit(self):
         ctx = AlgebraContext(3, 2)
-        assert ordered_basis_vector(ctx, (1, 0)) == basis_state(ctx, (1, 0))
+        assert ordered_basis(ctx)[3] == basis_state(ctx, (1, 0))
 
     def test_mixed_digits_unit_modulus(self):
         ctx = AlgebraContext(3, 2)
-        v = ordered_basis_vector(ctx, (1, 1))
+        v = ordered_basis(ctx)[4]
         assert set(v.amps) == {(1, 1)}
         amp = v.amplitude((1, 1))
         assert amp.conj() * amp == 1
 
+    @pytest.mark.parametrize("N,n,zeta_exp", [
+        (3, 2, None), (2, 3, 1), (2, 3, 3), (4, 2, 1), (4, 2, 5), (5, 1, None),
+    ])
+    def test_matches_the_letter_by_letter_oracle(self, N, n, zeta_exp):
+        ctx = AlgebraContext(N, n, zeta_exp)
+        expected = [ordered_basis_vector(ctx, digits) for digits in basis_indices(ctx)]
+        assert repr(ordered_basis(ctx)) == repr(expected)
+
 
 TABLE_CONTEXTS = [(3, 2, 4), (2, 3, 1), (2, 3, 3), (4, 2, 1), (4, 2, 5)]
-
-
-def generator_tables(ctx):
-    return [generator_table(ctx, i) for i in range(1, ctx.num_generators + 1)]
 
 
 class TestPhasedPermutation:
@@ -337,7 +342,7 @@ class TestPhasedPermutation:
 
     def test_scaling_and_equality(self):
         ctx = AlgebraContext(3, 2)
-        c1, c2 = generator_table(ctx, 1), generator_table(ctx, 2)
+        c1, c2 = generator_tables(ctx)[:2]
         assert c1 @ c2 == (c2 @ c1).scaled(2)  # c_1 c_2 = q c_2 c_1
         assert c1 @ c2 != c2 @ c1
         assert c1.scaled(ctx.order) == c1

@@ -1,7 +1,9 @@
 """Tests for the scripts under tools/."""
 
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,8 @@ def _load(name):
 
 
 ab_cycle = _load("ab_cycle")
+code_lines = _load("code_lines")
+output_digest = _load("output_digest")
 
 
 def _fake_child(base, outputs):
@@ -57,3 +61,64 @@ class TestAbCycle:
         with pytest.raises(SystemExit) as info:
             ab_cycle.main(argv)
         assert info.value.code == 2
+
+
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+# A comment line.
+import os  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+
+    return os.sep + x
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines():
+    # import, def, return, class and the assignment.
+    assert code_lines.code_lines(SNIPPET) == 5
+
+
+class FakeCli:
+    """Stands in for gcalg.cli: each op's argv names its exit code and stdout."""
+
+    def __init__(self, outputs, err):
+        self.outputs = outputs
+        self.err = err
+
+    def main(self, argv):
+        code, out = self.outputs[argv[0]]
+        print(out, end="")
+        print(self.err, file=sys.stderr)
+        if code == 2:
+            raise SystemExit(code)  # as argparse exits on a usage error
+        return code
+
+
+class TestOutputDigest:
+    OUTPUTS = {"a": (0, "one\n"), "b": (1, ""), "c": (2, "usage\n")}
+
+    def digest(self, err="", **changed):
+        cli = FakeCli({**self.OUTPUTS, **changed}, err)
+        return output_digest.digest(cli, (SimpleNamespace(argv=[name]) for name in "abc"))
+
+    def test_counts_the_ops_and_is_repeatable(self):
+        count, hexdigest = self.digest().split()
+        assert count == "3" and len(hexdigest) == 64
+        assert self.digest() == self.digest()
+        assert self.digest(err="stderr is not hashed") == self.digest()
+
+    @pytest.mark.parametrize("changed", [
+        {"a": (0, "one\r")}, {"c": (2, "usage!")}, {"a": (1, "one\n")}, {"b": (0, "")},
+    ])
+    def test_one_stdout_byte_or_exit_code_changes_it(self, changed):
+        assert self.digest(**changed) != self.digest()
