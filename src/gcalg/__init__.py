@@ -70,6 +70,7 @@ from .rep import (
     generator_tables,
     gram,
     ground_state,
+    monomial_table,
     ordered_basis,
     scalar_product,
     state_to_json,

@@ -18,8 +18,9 @@ tables change no result: a generator that is not such a table fails every
 table check with the offending basis state as counterexample.  The
 homomorphism check keeps a sparse oracle: each random word is applied letter
 by letter to sparse basis states and compared with the table of its normal
-form, one basis state at a time, as a map from label to amplitude; it builds
-a table column only to write a counterexample.  The ground-state and
+form (``rep.monomial_table``, the builder ``gcalg matrix`` reads too), one
+basis state at a time, as a map from label to amplitude; it builds a table
+column only to write a counterexample.  The ground-state and
 projector identities act on sparse states; the projector identity applies
 the generators only to the basis states that E_k keeps.  Orthonormality
 compares ``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the
@@ -288,15 +289,6 @@ def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
     return CheckReport(ctx, name, True)
 
 
-def _monomial_table(ctx: AlgebraContext, tables, monomial) -> rep.PhasedPermutation:
-    # phase * c_1^{e_1} ... c_{2n}^{e_{2n}}: the rightmost power acts first.
-    table = rep.PhasedPermutation.identity(ctx)
-    for generator, e in zip(tables, monomial.exps):
-        if e:
-            table = table @ generator ** e
-    return table.scaled(monomial.phase.root_exponent())
-
-
 def check_homomorphism(
     ctx: AlgebraContext,
     trials: int = HOMOMORPHISM_TRIALS_DEFAULT,
@@ -326,7 +318,8 @@ def check_homomorphism(
     for _ in range(trials):
         length = rng.randint(0, max_len)
         word = Word(ctx, tuple(rng.randint(1, top) for _ in range(length)))
-        table = _monomial_table(ctx, tables, normal_order(word))
+        normal = normal_order(word)
+        table = rep.monomial_table(ctx, tables, normal.exps).scaled(normal.phase.root_exponent())
         perm, phase = table.perm, table.phase
         for j, (digits, state) in enumerate(states):
             direct = rep.apply_word(word, state)

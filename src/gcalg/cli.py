@@ -8,9 +8,12 @@ Dense exports (``matrix``, ``gram``) have D^2 cells for dimension D, but at
 most D * terms of them are nonzero.  So both are held as ``rep.dense_matrix``
 rows, maps from column position to nonzero entry; ``gram`` writes
 ``rep.gram``, the same Gram matrix that the orthonormal-basis check compares
-with the identity.  ``matrix`` checks every stored entry before the
-first byte is written, and the writer encodes the zero cell once and each
-stored entry once, writing each row as it is encoded.
+with the identity.  ``matrix`` reads each term's action off the generator
+tables and refuses, before any work, an element whose terms times D exceed
+``rep.MAX_EXPORT_WORK`` (a ``DenseCapError``, one line and exit 1).  It
+checks every stored entry before the first byte is written, and the writer
+encodes the zero cell once and each stored entry once, writing each row as
+it is encoded.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Basis states carry labels (a_1, ..., a_n) with digits in [0, N);
 ``basis_states`` lists every label with its basis state, in row-major order.
 Each object built over the whole basis has one builder here, which the
-checks and the exports read: ``generator_tables``, ``ordered_basis`` (the
-vectors c_2^{a_1} ... c_{2n}^{a_n}|0..0>), their ``gram`` matrix and
-``dense_matrix``.
+checks and the exports read: ``generator_tables``, ``monomial_table``,
+``ordered_basis`` (the vectors c_2^{a_1} ... c_{2n}^{a_n}|0..0>), their
+``gram`` matrix and ``dense_matrix``.
 
 Every generator is a generalized permutation: on a basis label the even
 generator c_{2k} increments a_k mod N and multiplies by
@@ -22,9 +22,16 @@ permutation.
 Because every generator sends a basis state to a root of unity times a basis
 state, its whole action also fits in a :class:`PhasedPermutation`: for each
 row-major basis position, a target position and an exponent of
-w = exp(i*pi/N).  ``generator_tables`` reads the 2n tables off
-``apply_generator`` one basis state at a time, and products, powers and
+w = exp(i*pi/N).  ``generator_tables`` reads the 2n tables (or a chosen few)
+off ``apply_generator`` one basis state at a time, and products, powers and
 adjoints of the tables are then exact integer arithmetic.
+``monomial_table`` composes them into the table of a power product
+c_1^{e_1} ... c_{2n}^{e_{2n}}: the homomorphism check reads it for normal
+forms, and ``dense_matrix`` for the terms of an element, summing the terms'
+images of each basis state into its column.  So an export costs the tables
+of the generators it uses, a few table powers per term, and terms times D
+column steps; ``MAX_EXPORT_WORK`` bounds terms times D before any work is
+done.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
     "BasisIndex",
     "DENSE_CAP_DEFAULT",
     "DenseCapError",
+    "MAX_EXPORT_WORK",
     "NotPhasedPermutationError",
     "PhasedPermutation",
     "QuditState",
@@ -64,6 +72,7 @@ __all__ = [
     "generator_tables",
     "gram",
     "ground_state",
+    "monomial_table",
     "ordered_basis",
     "scalar_product",
     "state_to_json",
@@ -73,9 +82,13 @@ BasisIndex = tuple[int, ...]
 
 DENSE_CAP_DEFAULT = 4096
 
+# The most steps (terms times dimension) that ``dense_matrix`` takes: 64
+# terms at the default dense cap.
+MAX_EXPORT_WORK = 2**18
+
 
 class DenseCapError(ValueError):
-    """A dense output would exceed the configured dimension cap."""
+    """A dense output would exceed the dimension cap or the export work budget."""
 
 
 class NotPhasedPermutationError(ValueError):
@@ -319,18 +332,19 @@ class PhasedPermutation:
         )
 
 
-def generator_tables(ctx: AlgebraContext) -> list[PhasedPermutation]:
+def generator_tables(ctx: AlgebraContext, indices=None) -> list[PhasedPermutation | None]:
     """Tables of c_1 .. c_2n, read off by applying ``apply_generator`` to every basis state.
 
-    The basis states and the label -> position map are built once for all
-    2n tables.  Raises NotPhasedPermutationError, naming the first basis
-    state of the first generator whose image is not a single term +-w^k on
-    a basis label.
+    With ``indices``, a set of generator indices, only those tables are
+    read and every other entry is None.  The basis states and the label ->
+    position map are built once for all tables.  Raises
+    NotPhasedPermutationError, naming the first basis state of the first
+    generator read whose image is not a single term +-w^k on a basis label.
     """
     states = basis_states(ctx)
     position = {label: j for j, (label, _) in enumerate(states)}
-    tables = []
-    for i in range(1, ctx.num_generators + 1):
+    tables = [None] * ctx.num_generators
+    for i in range(1, ctx.num_generators + 1) if indices is None else sorted(indices):
         perm = []
         phase = []
         for label, state in states:
@@ -352,8 +366,21 @@ def generator_tables(ctx: AlgebraContext) -> list[PhasedPermutation]:
                 )
             perm.append(j)
             phase.append(k)
-        tables.append(PhasedPermutation._raw(ctx, tuple(perm), tuple(phase)))
+        tables[i - 1] = PhasedPermutation._raw(ctx, tuple(perm), tuple(phase))
     return tables
+
+
+def monomial_table(ctx: AlgebraContext, tables, exps) -> PhasedPermutation:
+    """Table of c_1^{e_1} ... c_{2n}^{e_{2n}}, the rightmost power acting first.
+
+    ``tables`` are the generator tables, as ``generator_tables`` returns
+    them; an entry whose exponent is zero is never read and may be None.
+    """
+    table = PhasedPermutation.identity(ctx)
+    for generator, e in zip(tables, exps):
+        if e:
+            table = table @ generator ** e
+    return table
 
 
 def scalar_product(a: QuditState, b: QuditState) -> CycloScalar:
@@ -408,16 +435,26 @@ def dense_matrix(element: AlgebraElement,
     Row i maps each column position j to the nonzero entry (i, j), in
     ascending j; an absent column is a zero entry, and no zero is stored.
     Rows and columns follow ``basis_indices`` order (first digit slowest).
+    Each term's power product is one ``monomial_table``, composed from the
+    tables of the generators the element uses, and column j sums the terms'
+    images of position j.  Raises DenseCapError, before any work, when the
+    dimension exceeds ``cap`` or the terms times the dimension exceed
+    ``MAX_EXPORT_WORK``.
     """
     ctx = element.ctx
     check_dense_cap(ctx, cap)
-    states = basis_states(ctx)
-    row_of = {label: r for r, (label, _) in enumerate(states)}
-    rows = [{} for _ in states]
-    for j, (_, state) in enumerate(states):
-        column = apply_element(element, state)
-        for digits, amp in column.terms.items():
-            rows[row_of[digits]][j] = amp
+    work = len(element.terms) * ctx.dim
+    if work > MAX_EXPORT_WORK:
+        raise DenseCapError(
+            f"result too large: a matrix would take {work} steps (terms times dimension), "
+            f"more than the budget of {MAX_EXPORT_WORK}"
+        )
+    tables = generator_tables(ctx, {i for x in element.terms for i, e in enumerate(x, 1) if e})
+    terms = [(monomial_table(ctx, tables, exps), coeff) for exps, coeff in element.terms.items()]
+    rows = [{} for _ in range(ctx.dim)]
+    for j in range(ctx.dim):
+        for i, amp in sum_terms((t.perm[j], c.times_root(t.phase[j])) for t, c in terms).items():
+            rows[i][j] = amp
     return rows
 
 

@@ -331,19 +331,57 @@ class TestMatrix:
         first = lines[0].split('","')
         assert len(first) == 2
 
-    def test_columns_match_basis_application(self, capsys):
-        code, out, _ = run(
-            ["matrix", "--N", "3", "--n", "2", "--format", "json", "c[1] c[2]"], capsys
-        )
-        assert code == 0
-        rows = json.loads(out)
-        ctx = AlgebraContext(3, 2)
-        element = eval_element(parse("c[1] c[2]"), ctx)
+    @pytest.mark.parametrize("text", [
+        pytest.param("c[1] - zeta c[2]", id="cancel"),  # zero on every a_1 = 0 column
+        pytest.param("2 + c[1]", id="scalar"),
+        pytest.param("c[1] - c[1]", id="zero"),
+        pytest.param("c[1]^5 c[4]^3", id="powers"),
+        pytest.param("E[1] c[2]", id="shared"),  # N terms, one permutation
+        pytest.param("c[1] c[2]", id="product"),
+    ])
+    @pytest.mark.parametrize("N,n,zeta_exp", [(3, 2, None), (2, 3, 1), (2, 3, 3),
+                                              (4, 2, 1), (4, 2, 5)])
+    def test_columns_match_basis_application(self, N, n, zeta_exp, text):
+        # The oracle: every letter of every term applied to each basis state.
+        ctx = AlgebraContext(N, n, zeta_exp)
+        element = eval_element(parse(text), ctx)
+        rows = rep.dense_matrix(element)
         labels = list(basis_indices(ctx))
         for j, label in enumerate(labels):
             column = apply_element(element, basis_state(ctx, label))
-            for i, row_label in enumerate(labels):
-                assert scalar_from_json(rows[i][j]) == column.amplitude(row_label)
+            cells = {labels[i]: row[j] for i, row in enumerate(rows) if j in row}
+            # Same keys and the same stored form, so the same values and the
+            # same printed bytes; a cancelled cell is absent.
+            assert repr(cells) == repr(dict(sorted(column.terms.items())))
+        if text == "c[1] - zeta c[2]":
+            assert not any(j in row for row in rows for j, a in enumerate(labels) if a[0] == 0)
+        if text == "c[1] - c[1]":
+            assert rows == [{}] * ctx.dim
+
+    def test_export_budget_is_exact(self, monkeypatch, capsys):
+        # c_1 + c_2 at N = 3, n = 2: 2 terms times dimension 9.
+        monkeypatch.setattr(rep, "MAX_EXPORT_WORK", 18)
+        code, _, _ = run(["matrix", "--N", "3", "--n", "2", "c[1] + c[2]"], capsys)
+        assert code == 0
+        monkeypatch.setattr(rep, "MAX_EXPORT_WORK", 17)
+        code, out, err = run(["matrix", "--N", "3", "--n", "2", "c[1] + c[2]"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: result too large: a matrix would take 18 steps (terms times "
+                       "dimension), more than the budget of 17\n")
+
+    def test_matrix_over_the_export_budget_exits_1(self, tmp_path):
+        # 3969 terms at dimension 4096; replayed letter by letter it would run
+        # for hours.  Written out, the sum is longer than one argv string may be.
+        sums = ["(" + "+".join(f"c[{i}]^{e}" for e in range(1, 64)) + ")" for i in (1, 2)]
+        text = " ".join(sums + ["c[3]^63", "c[4]^63"])
+        target = tmp_path / "m.csv"
+        code, out, err = run_process(["matrix", "--N", "64", "--n", "2", "--format", "csv",
+                                      "--output", str(target), text], timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: result too large: a matrix would take 16257024 steps")
+        assert not target.exists()
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_dense_cap_is_usage_error(self, cap, capsys):

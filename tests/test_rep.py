@@ -29,6 +29,7 @@ from gcalg import (
     scalar_product,
     state_to_json,
 )
+from gcalg import rep
 from helpers import (
     densify,
     ordered_basis_vector,
@@ -274,6 +275,24 @@ class TestDenseMatrix:
         with pytest.raises(DenseCapError):
             dense_matrix(AlgebraElement.one(ctx), cap=8)
 
+    def test_reads_only_the_tables_of_used_generators(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        calls = []
+        original = rep.apply_generator
+        monkeypatch.setattr(rep, "apply_generator", lambda i, s: calls.append(i) or original(i, s))
+        dense_matrix(AlgebraElement.generator(ctx, 2))
+        assert calls == [2] * ctx.dim  # one table, not all 2n
+
+    def test_tables_come_from_the_representation(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        c1 = AlgebraElement.generator(ctx, 1)
+        before = densify(dense_matrix(c1), ctx)
+        original = rep.apply_odd
+        monkeypatch.setattr(rep, "apply_odd", lambda k, s: -1 * original(k, s))
+        flipped = densify(dense_matrix(c1), ctx)
+        assert flipped == [[-cell for cell in row] for row in before]
+        assert flipped != before
+
 
 class TestOrderedBasis:
     def test_all_zero_digits_give_ground(self):
@@ -316,6 +335,14 @@ class TestPhasedPermutation:
         for i, table in enumerate(generator_tables(ctx), start=1):
             for j, digits in enumerate(basis_indices(ctx)):
                 assert table.column(j) == apply_generator(i, basis_state(ctx, digits))
+
+    def test_chosen_tables_only(self):
+        ctx = AlgebraContext(3, 2)
+        full = generator_tables(ctx)
+        chosen = generator_tables(ctx, {2, 3})
+        assert chosen[1] == full[1] and chosen[2] == full[2]
+        assert chosen[0] is None and chosen[3] is None
+        assert generator_tables(ctx, set()) == [None] * 4
 
     @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
     def test_composed_tables_match_apply_word(self, N, n, zeta_exp):
