@@ -32,6 +32,7 @@ from .symbolic import AlgebraElement, projector_element
 
 __all__ = [
     "EvalError",
+    "MAX_ACTION_LETTERS",
     "MAX_PAREN_DEPTH",
     "MAX_PRODUCT_WORK",
     "Node",
@@ -58,6 +59,14 @@ MAX_PAREN_DEPTH = 200
 # s * t * 2n + e * f exceeds this budget.  A product near the budget takes
 # under a second; the benchmark's eval products stay near 500.
 MAX_PRODUCT_WORK = 2**16
+
+# Most letters an element may apply to a ket in a state or bra-ket
+# expression.  ``apply_element`` replays every letter of every term on the
+# ket, so the letters (the sum of every term's exponents) are counted, and
+# refused above this budget, before any is applied.  At about 3.5 us a
+# letter the budget takes about 0.25 s; the benchmark's actions stay under
+# 100 letters.
+MAX_ACTION_LETTERS = 2**16
 
 
 class ParseError(ValueError):
@@ -478,35 +487,59 @@ def _eval_label(node: Node, ctx: AlgebraContext) -> QuditState:
     return basis_state(ctx, digits)
 
 
+# What the expression language calls a node that is not an operator.
+_NOT_OPERATORS = {"apply": "a state", "ket": "a state", "sandwich": "a bra-ket", "bra": "a bra"}
+
+
+def _what(ast: Node) -> str:
+    return _NOT_OPERATORS.get(ast.kind, "an element")
+
+
+def _act(node: Node, ket: QuditState) -> QuditState:
+    # The operator expression ``node`` applied to ``ket``, within MAX_ACTION_LETTERS.
+    element = _eval_operator(node, ket.ctx)
+    letters = sum(sum(exps) for exps in element.terms)
+    if letters > MAX_ACTION_LETTERS:
+        raise EvalError(
+            f"result too large: acting on the ket would take {letters} letters (the sum "
+            f"of every term's exponents), more than the budget of {MAX_ACTION_LETTERS}"
+        )
+    return apply_element(element, ket)
+
+
 def eval_element(ast: Node, ctx: AlgebraContext) -> AlgebraElement:
     """Evaluate an operator expression to an exact algebra element."""
-    if ast.kind in ("apply", "sandwich", "ket", "bra"):
-        raise EvalError(f"expected an element expression, got a {ast.kind}")
+    if ast.kind in _NOT_OPERATORS:
+        raise EvalError(f"expected an element expression, got {_what(ast)}")
     return _eval_operator(ast, ctx)
 
 
 def eval_state(ast: Node, ctx: AlgebraContext) -> QuditState:
-    """Evaluate a ket expression (with optional operator prefix) to a state."""
+    """Evaluate a ket expression (with optional operator prefix) to a state.
+
+    Raises EvalError, before any letter is applied, when the operator's
+    letters exceed ``MAX_ACTION_LETTERS``.
+    """
     if ast.kind != "apply":
-        raise EvalError(f"expected a state expression, got a {ast.kind}")
+        raise EvalError(f"expected a state expression, got {_what(ast)}")
     ket = _eval_label(ast.children[-1], ctx)
     if len(ast.children) == 1:
         return ket
-    return apply_element(_eval_operator(ast.children[0], ctx), ket)
+    return _act(ast.children[0], ket)
 
 
 def eval_scalar(ast: Node, ctx: AlgebraContext) -> CycloScalar:
     """Evaluate a bra-operator-ket sandwich to an exact scalar.
 
     The bra slot is conjugate-linear: <b|x|a> = (|b>, x|a>) in the Hermitian
-    product.
+    product.  The operator's letters are bounded as in ``eval_state``.
     """
     if ast.kind != "sandwich":
-        raise EvalError(f"expected a bra-ket expression, got a {ast.kind}")
+        raise EvalError(f"expected a bra-ket expression, got {_what(ast)}")
     bra_state = _eval_label(ast.children[0], ctx)
     ket_state = _eval_label(ast.children[-1], ctx)
     if len(ast.children) == 3:
-        ket_state = apply_element(_eval_operator(ast.children[1], ctx), ket_state)
+        ket_state = _act(ast.children[1], ket_state)
     return scalar_product(bra_state, ket_state)
 
 

@@ -26,16 +26,19 @@ w = exp(i*pi/N).  ``generator_tables`` reads the 2n tables (or a chosen few)
 off ``apply_generator`` one basis state at a time, and products, powers and
 adjoints of the tables are then exact integer arithmetic.
 ``monomial_table`` composes them into the table of a power product
-c_1^{e_1} ... c_{2n}^{e_{2n}}: the homomorphism check reads it for normal
-forms, and ``dense_matrix`` for the terms of an element, summing the terms'
-images of each basis state into its column.  So an export costs the tables
-of the generators it uses, a few table powers per term, and terms times D
-column steps; ``MAX_EXPORT_WORK`` bounds terms times D before any work is
-done.
+c_1^{e_1} ... c_{2n}^{e_{2n}} from the generator powers a lookup gives it:
+the homomorphism check reads it for normal forms, and ``dense_matrix`` for
+the terms of an element, summing the terms' images of each basis state into
+its column.  Both cache the lookup, so each distinct power is computed once
+however many products share it.  So an export costs the tables of the generators it uses, each
+distinct power once, one table product per generator a term uses, and terms
+times D column steps; ``MAX_EXPORT_WORK`` bounds terms times D before any
+work is done.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -370,16 +373,16 @@ def generator_tables(ctx: AlgebraContext, indices=None) -> list[PhasedPermutatio
     return tables
 
 
-def monomial_table(ctx: AlgebraContext, tables, exps) -> PhasedPermutation:
+def monomial_table(ctx: AlgebraContext, power, exps) -> PhasedPermutation:
     """Table of c_1^{e_1} ... c_{2n}^{e_{2n}}, the rightmost power acting first.
 
-    ``tables`` are the generator tables, as ``generator_tables`` returns
-    them; an entry whose exponent is zero is never read and may be None.
+    ``power(i, e)`` is the table of c_i^e, as ``tables[i - 1] ** e`` over
+    the generator tables; it is asked only for the nonzero exponents.
     """
     table = PhasedPermutation.identity(ctx)
-    for generator, e in zip(tables, exps):
+    for i, e in enumerate(exps, start=1):
         if e:
-            table = table @ generator ** e
+            table = table @ power(i, e)
     return table
 
 
@@ -436,10 +439,10 @@ def dense_matrix(element: AlgebraElement,
     ascending j; an absent column is a zero entry, and no zero is stored.
     Rows and columns follow ``basis_indices`` order (first digit slowest).
     Each term's power product is one ``monomial_table``, composed from the
-    tables of the generators the element uses, and column j sums the terms'
-    images of position j.  Raises DenseCapError, before any work, when the
-    dimension exceeds ``cap`` or the terms times the dimension exceed
-    ``MAX_EXPORT_WORK``.
+    tables of the generators the element uses, each distinct power computed
+    once per call, and column j sums the terms' images of position j.
+    Raises DenseCapError, before any work, when the dimension exceeds
+    ``cap`` or the terms times the dimension exceed ``MAX_EXPORT_WORK``.
     """
     ctx = element.ctx
     check_dense_cap(ctx, cap)
@@ -450,7 +453,8 @@ def dense_matrix(element: AlgebraElement,
             f"more than the budget of {MAX_EXPORT_WORK}"
         )
     tables = generator_tables(ctx, {i for x in element.terms for i, e in enumerate(x, 1) if e})
-    terms = [(monomial_table(ctx, tables, exps), coeff) for exps, coeff in element.terms.items()]
+    power = functools.cache(lambda i, e: tables[i - 1] ** e)
+    terms = [(monomial_table(ctx, power, exps), coeff) for exps, coeff in element.terms.items()]
     rows = [{} for _ in range(ctx.dim)]
     for j in range(ctx.dim):
         for i, amp in sum_terms((t.perm[j], c.times_root(t.phase[j])) for t, c in terms).items():

@@ -1,5 +1,6 @@
 """Tests for the command-line front-end."""
 
+import contextlib
 import csv
 import io
 import json
@@ -51,6 +52,62 @@ def written_matrices(monkeypatch):
 
     monkeypatch.setattr(cli, "_matrix_chunks", capture)
     return built
+
+
+def outcome(argv, capsys):
+    # Exit code, stdout and stderr of one main() call, usage errors and --help included.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParser:
+    CALLS = [
+        ["verify", "--N", "3", "--n", "2", "--checks", "nosuch"],
+        ["verify", "--N", "3", "--n", "1", "--checks", "order", "commutation"],
+        ["verify", "--help"],
+        ["verify", "--N", "3", "--n", "1"],  # all checks again after a subset
+        ["verify", "--N", "3", "--n", "2", "--zeta-sign", "+"],
+        ["eval", "--N", "3", "--n", "2", "c[9]"],
+        ["eval", "--N", "2", "--n", "2", "--zeta-sign", "+", "--format", "json", "c[1] c[3]"],
+        ["eval", "--N", "3", "--n", "2", "c[1] |0,1>"],
+        ["matrix", "--N", "3", "--n", "1", "--format", "csv", "c[1] + c[2]"],
+        ["matrix", "--N", "3", "--n", "1", "--dense-cap", "0", "c[1]"],
+        ["gram", "--N", "2", "--n", "2", "--format", "json"],
+        ["gram", "--N", "2", "--n", "2"],
+    ]
+
+    def test_shared_parser_answers_as_a_fresh_one(self, monkeypatch, capsys):
+        shared = [outcome(argv, capsys) for argv in self.CALLS]
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 1, 0, 0, 0, 2, 0, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        for argv, got in zip(self.CALLS, shared):
+            assert outcome(argv, capsys) == got, argv
+
+    def test_help_and_errors_go_to_the_streams_of_the_call(self, capsys):
+        cli.build_parser()  # built before the streams below exist
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit):
+                main(["gram", "--help"])
+            with pytest.raises(SystemExit):
+                main(["gram", "--N", "3", "--format", "yaml"])
+        assert out.getvalue().startswith("usage: gcalg gram ")
+        assert "invalid choice: 'yaml'" in err.getvalue()
+        assert capsys.readouterr() == ("", "")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        args = gcalg_process([], capture_output=True, timeout=60)
+        args["args"] = [sys.executable, "-c",
+                        "import gcalg.cli as cli; print(cli.build_parser.cache_info().currsize)"]
+        done = subprocess.run(**args)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 class TestVerify:
@@ -305,6 +362,30 @@ class TestEval:
         assert code == 1
         assert "out of range" in err
 
+    @pytest.mark.parametrize("text", ["(c[1] + c[2]^2) |0,0>", "<1,0| (c[1] + c[2]^2) |0,0>"])
+    def test_action_budget_is_exact(self, text, monkeypatch, capsys):
+        # c_1 + c_2^2 applies 1 + 2 letters to the ket.
+        monkeypatch.setattr(expr, "MAX_ACTION_LETTERS", 3)
+        code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
+        assert code == 0
+        monkeypatch.setattr(expr, "MAX_ACTION_LETTERS", 2)
+        monkeypatch.setattr(expr, "apply_element", None)  # refused before any letter
+        code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: result too large: acting on the ket would take 3 letters (the "
+                       "sum of every term's exponents), more than the budget of 2\n")
+
+    def test_action_over_the_letter_budget_exits_1(self):
+        # 21609 terms, 3.2M letters on one ket: once 11 s, now refused in well under 1 s.
+        sums = ["(" + "+".join(f"c[{i}]^{e}" for e in range(1, 148)) + ")" for i in (1, 2)]
+        code, out, err = run_process(["eval", "--N", "256", "--n", "1", " ".join(sums) + " |0>"],
+                                     timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: result too large: acting on the ket would take 3198132 letters "
+                       "(the sum of every term's exponents), more than the budget of "
+                       f"{expr.MAX_ACTION_LETTERS}\n")
+
 
 class TestMatrix:
     def test_identity(self, capsys):
@@ -382,6 +463,13 @@ class TestMatrix:
         assert err.count("\n") == 1
         assert err.startswith("error: result too large: a matrix would take 16257024 steps")
         assert not target.exists()
+
+    @pytest.mark.parametrize("text,what", [("|0,0>", "a state"),
+                                           ("<1,0| c[1] |0,0>", "a bra-ket")])
+    def test_non_element_is_named_in_the_expression_language(self, text, what, capsys):
+        code, out, err = run(["matrix", "--N", "3", "--n", "2", text], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: expected an element expression, got {what}\n"
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_dense_cap_is_usage_error(self, cap, capsys):

@@ -21,10 +21,12 @@ from gcalg import (
     basis_label,
     basis_state,
     dense_matrix,
+    eval_element,
     generator_tables,
     ground_state,
     normal_order,
     ordered_basis,
+    parse,
     projector_element,
     scalar_product,
     state_to_json,
@@ -282,6 +284,18 @@ class TestDenseMatrix:
         monkeypatch.setattr(rep, "apply_generator", lambda i, s: calls.append(i) or original(i, s))
         dense_matrix(AlgebraElement.generator(ctx, 2))
         assert calls == [2] * ctx.dim  # one table, not all 2n
+
+    def test_builds_each_distinct_power_once(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        element = eval_element(parse("c[1] c[2] + c[1] c[2]^2 + c[1]^2 c[2]"), ctx)
+        expected = densify(dense_matrix(element), ctx)
+        powers = []
+        original = PhasedPermutation.__pow__
+        monkeypatch.setattr(PhasedPermutation, "__pow__",
+                            lambda t, k: powers.append(k) or original(t, k))
+        assert densify(dense_matrix(element), ctx) == expected
+        # c_1, c_1^2, c_2 and c_2^2; composed term by term they would be 6.
+        assert sorted(powers) == [1, 1, 2, 2]
 
     def test_tables_come_from_the_representation(self, monkeypatch):
         ctx = AlgebraContext(3, 2)

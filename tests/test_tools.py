@@ -1,6 +1,9 @@
 """Tests for the scripts under tools/."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -56,11 +59,158 @@ class TestAbCycle:
         ["--workload", "verify_suite"],
         ["--base", "HEAD", "--workload", "nosuch"],
         ["--base", "HEAD", "--workload", "verify_suite", "--rounds", "0"],
+        ["--base", "HEAD"],
+        ["--base", "HEAD", "--bench", "x", "--rounds", "1"],
+        ["--base", "HEAD", "--bench", "x", "--workload", "verify_suite"],
     ])
     def test_bad_arguments_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as info:
             ab_cycle.main(argv)
         assert info.value.code == 2
+
+
+def _harness_copy(tmp_path):
+    # A base tree whose benchmark is this tree's.
+    base = tmp_path / "base"
+    shutil.copytree(ab_cycle.ROOT / "perfbench", base / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__", ".*"))
+    shutil.copy(ab_cycle.ROOT / "BENCHMARK.json", base)
+    return base
+
+
+REVS = {"base": "b" * 40, "this": "t" * 40}
+
+
+class TestAbBench:
+    def fake_runner(self, base, calls, failed=0):
+        # Each tree's metrics follow from the seed: this tree has twice the
+        # throughput and half the latency of the base, except at seed 12.
+        def bench_run(tree, workload, seed, seconds):
+            side = "base" if tree == base else "this"
+            calls.append((side, workload, seed, seconds))
+            fast = side == "this" and seed != 12
+            metrics = {"setup_s": 0.1, "peak_rss_mb": 20.0 + seed,
+                       "throughput_ops_s": seed * (2 if fast else 1),
+                       "latency_p50_ms": seed / (2 if fast else 1),
+                       "latency_p90_ms": 3.0 * seed}
+            return {"correct": True, "attempted": 100, "failed": failed if fast else 0,
+                    "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+        return bench_run
+
+    def test_writes_alternating_pairs_with_one_seed_list(self, monkeypatch, tmp_path, capsys):
+        base = _harness_copy(tmp_path)
+        calls = []
+        monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, calls))
+        target = tmp_path / "BENCH_t.json"
+        assert ab_cycle.bench("t", 4, base, 11, target, REVS, seconds=2.5) == 0
+        spec = json.loads((ab_cycle.ROOT / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in spec["workloads"]]
+        # Every workload of the benchmark, each over the same seeds and pair order.
+        assert calls == [(side, workload, seed, 2.5) for workload in workloads
+                         for seed, pair in zip([11, 12, 13, 14], [("base", "this"),
+                                                                  ("this", "base")] * 2)
+                         for side in pair]
+        report = json.loads(target.read_text())
+        assert report["label"] == "t" and report["revisions"] == REVS
+        assert report["seeds"] == [11, 12, 13, 14] and report["seconds"] == 2.5
+        assert report["python"] == ab_cycle.platform.python_version()
+        assert report["cpus"] == ab_cycle.os.cpu_count()
+        assert list(report["workloads"]) == workloads
+        eval_ = report["workloads"]["algebra_eval"]
+        assert eval_["first"] == ["base", "this", "base", "this"]
+        assert [r["seed"] for r in eval_["runs"]["this"]] == [11, 12, 13, 14]
+        assert eval_["runs"]["this"][0] == {
+            "seed": 11, "correct": True, "attempted": 100, "failed": 0,
+            "metrics": {"setup_s": 0.1, "peak_rss_mb": 31.0, "throughput_ops_s": 22,
+                        "latency_p50_ms": 5.5, "latency_p90_ms": 33.0}}
+        metrics = eval_["metrics"]
+        assert list(metrics) == [m["name"] for m in spec["end_to_end"]]
+        # Higher is better for throughput, lower for latency; equal pairs are no win.
+        assert metrics["throughput_ops_s"]["won"] == {"base": 0, "this": 3}
+        assert metrics["latency_p50_ms"]["won"] == {"base": 0, "this": 3}
+        assert metrics["latency_p90_ms"]["won"] == {"base": 0, "this": 0}
+        assert metrics["throughput_ops_s"]["base"] == {"median": 12.5, "q1": 11.25, "q3": 13.75}
+        assert metrics["throughput_ops_s"]["this"]["median"] == 24.0
+        assert metrics["latency_p50_ms"]["better"] == "lower"
+        assert "wrote " in capsys.readouterr().out
+
+    def test_runs_last_the_benchmarks_run_seconds(self, monkeypatch, tmp_path):
+        base = _harness_copy(tmp_path)
+        calls = []
+        monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, calls))
+        target = tmp_path / "BENCH_t.json"
+        assert ab_cycle.bench("t", 2, base, 1, target, REVS) == 0
+        run_seconds = json.loads((ab_cycle.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+        assert {seconds for *_, seconds in calls} == {run_seconds}
+        assert json.loads(target.read_text())["seconds"] == run_seconds
+
+    def test_failed_ops_are_recorded_and_exit_1(self, monkeypatch, tmp_path, capsys):
+        base = _harness_copy(tmp_path)
+        monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, [], failed=3))
+        target = tmp_path / "BENCH_t.json"
+        assert ab_cycle.bench("t", 2, base, 1, target, REVS, seconds=1.0) == 1
+        report = json.loads(target.read_text())
+        for workload in report["workloads"].values():
+            assert [r["failed"] for r in workload["runs"]["this"]] == [3, 3]
+            assert [r["failed"] for r in workload["runs"]["base"]] == [0, 0]
+        bad = 2 * len(report["workloads"])
+        assert f"{bad} runs were not correct or had failed ops" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("change", ["perfbench/run.py", "BENCHMARK.json", "perfbench/new.py"])
+    def test_refuses_a_different_benchmark(self, change, monkeypatch, tmp_path):
+        base = _harness_copy(tmp_path)
+        with open(base / change, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+        calls = []
+        monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, calls))
+        with pytest.raises(SystemExit, match=f"differs between the trees: {change}$"):
+            ab_cycle.bench("t", 2, base, 1, tmp_path / "B.json", REVS, seconds=1.0)
+        assert calls == [] and not (tmp_path / "B.json").exists()
+
+    def test_generated_files_are_not_part_of_the_benchmark(self, tmp_path):
+        base = _harness_copy(tmp_path)
+        files = ab_cycle.harness_files(base)
+        for extra in ["perfbench/out/trace.tsv.gz", "perfbench/__pycache__/run.pyc",
+                      "perfbench/.pytest_cache/x"]:
+            (base / extra).parent.mkdir(parents=True, exist_ok=True)
+            (base / extra).write_text("x")
+        assert ab_cycle.harness_files(base) == files
+        assert "perfbench/run.py" in files and "BENCHMARK.json" in files
+
+    def test_a_dirty_tree_is_named_by_a_digest_of_its_changes(self, monkeypatch, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                            *args], check=True, capture_output=True)
+
+        git("init", "-q")
+        (repo / ".gitignore").write_text("out/\n")
+        (repo / "a.py").write_text("a\n")
+        git("add", ".")
+        git("commit", "-q", "-m", "one")
+        monkeypatch.setattr(ab_cycle, "ROOT", repo)
+        clean = ab_cycle.revisions("HEAD")
+        assert clean["this"] == clean["base"] and len(clean["base"]) == 40
+        # Ignored files leave the tree clean.
+        (repo / "out").mkdir()
+        (repo / "out" / "x").write_text("x")
+        assert ab_cycle.revisions("HEAD") == clean
+        # An untracked file alone makes the tree dirty, and its bytes name it.
+        (repo / "new.py").write_text("n\n")
+        untracked = ab_cycle.revisions("HEAD")["this"]
+        assert untracked.startswith(clean["base"] + " with uncommitted changes, sha256 ")
+        (repo / "new.py").write_text("m\n")
+        assert ab_cycle.revisions("HEAD")["this"] not in (untracked, clean["base"])
+        (repo / "new.py").write_text("n\n")
+        assert ab_cycle.revisions("HEAD")["this"] == untracked
+        # So does a change to a tracked file.
+        (repo / "new.py").unlink()
+        (repo / "a.py").write_text("b\n")
+        edited = ab_cycle.revisions("HEAD")["this"]
+        assert edited.startswith(clean["base"] + " with uncommitted changes, sha256 ")
+        assert edited != untracked
 
 
 SNIPPET = '''"""Module docstring,
