@@ -19,9 +19,9 @@ rows, maps from column position to nonzero entry; ``gram`` writes
 with the identity.  ``matrix`` reads each term's action off the generator
 tables and refuses, before any work, an element whose terms times D exceed
 ``rep.MAX_EXPORT_WORK`` (a ``DenseCapError``, one line and exit 1).  It
-checks every stored entry before the first byte is written, and the writer
-encodes the zero cell once and each stored entry once, writing each row as
-it is encoded.
+checks every stored entry, each object once, before the first byte is
+written, and the writer encodes the zero cell once and each distinct stored
+map once, writing each row as it is encoded.
 """
 
 from __future__ import annotations
@@ -161,7 +161,11 @@ def _matrix_chunks(rows, fmt: str, ctx):
     ``rows`` are shaped as ``rep.dense_matrix`` returns them.  JSON is
     ``json.dumps(cells, indent=2)``, CSV is ``csv.writer`` over ``_approx``
     and text is tab-joined ``print_canonical``.  The zero cell is encoded
-    once and each stored entry once.
+    once and each distinct stored map once: entries are keyed by their
+    stored map in stored order (``to_complex`` sums in that order), and
+    an int and an equal Fraction coefficient, equal keys, encode alike.
+    An entry object met again (``dense_matrix`` shares them) is found by
+    its id first, which spares hashing its map; Fractions hash slowly.
     """
     opening = between = closing = ""
     if fmt == "json":
@@ -176,11 +180,20 @@ def _matrix_chunks(rows, fmt: str, ctx):
         encode = lambda cell: expr.print_canonical(cell, ctx)
         line = lambda cells: "\t".join(cells) + "\n"
     zeros = [encode(ctx.zero())] * ctx.dim
+    encoded = {}  # stored map, in stored order -> its encoding
+    by_id = {}  # id of an entry (the rows keep it alive) -> its encoding
     separator = opening
     for row in rows:
         cells = zeros.copy()
         for j, entry in row.items():
-            cells[j] = encode(entry)
+            text = by_id.get(id(entry))
+            if text is None:
+                key = tuple(entry.coeffs.items())
+                text = encoded.get(key)
+                if text is None:
+                    text = encoded[key] = encode(entry)
+                by_id[id(entry)] = text
+            cells[j] = text
         yield separator + line(cells)
         separator = between
     yield closing
@@ -242,7 +255,8 @@ def cmd_matrix(args, parser) -> int:
     ctx = _context(args, parser)
     element = expr.eval_element(expr.parse(args.expression), ctx)
     rows = rep.dense_matrix(element, cap=args.dense_cap)
-    _check_printable([entry for row in rows for entry in row.values()], args.format)
+    distinct = {id(entry): entry for row in rows for entry in row.values()}
+    _check_printable(distinct.values(), args.format)
     return _write(args, _matrix_chunks(rows, args.format, ctx))
 
 

@@ -30,10 +30,12 @@ c_1^{e_1} ... c_{2n}^{e_{2n}} from the generator powers a lookup gives it:
 the homomorphism check reads it for normal forms, and ``dense_matrix`` for
 the terms of an element, summing the terms' images of each basis state into
 its column.  Both cache the lookup, so each distinct power is computed once
-however many products share it.  So an export costs the tables of the generators it uses, each
-distinct power once, one table product per generator a term uses, and terms
-times D column steps; ``MAX_EXPORT_WORK`` bounds terms times D before any
-work is done.
+however many products share it.  So an export costs the tables of the
+generators it uses, each distinct power once, one table product per
+generator a term uses, each term's coefficient times each root its phases
+use once, and terms times D column steps; ``MAX_EXPORT_WORK`` bounds terms
+times D before any work is done.  The writer in ``gcalg.cli`` then encodes
+each distinct stored map once.
 """
 
 from __future__ import annotations
@@ -440,7 +442,9 @@ def dense_matrix(element: AlgebraElement,
     Rows and columns follow ``basis_indices`` order (first digit slowest).
     Each term's power product is one ``monomial_table``, composed from the
     tables of the generators the element uses, each distinct power computed
-    once per call, and column j sums the terms' images of position j.
+    once per call.  Each term's coefficient is multiplied by each root its
+    table's phases use once per call, and column j sums the terms' images of
+    position j, each a lookup of those products.
     Raises DenseCapError, before any work, when the dimension exceeds
     ``cap`` or the terms times the dimension exceed ``MAX_EXPORT_WORK``.
     """
@@ -454,10 +458,16 @@ def dense_matrix(element: AlgebraElement,
         )
     tables = generator_tables(ctx, {i for x in element.terms for i, e in enumerate(x, 1) if e})
     power = functools.cache(lambda i, e: tables[i - 1] ** e)
-    terms = [(monomial_table(ctx, power, exps), coeff) for exps, coeff in element.terms.items()]
+    terms = []
+    for exps, coeff in element.terms.items():
+        table = monomial_table(ctx, power, exps)
+        # The coefficient times each root w^k that the table's phases use.
+        rotations = {k: coeff.times_root(k) for k in set(table.phase)}
+        terms.append((table.perm, table.phase, rotations))
     rows = [{} for _ in range(ctx.dim)]
     for j in range(ctx.dim):
-        for i, amp in sum_terms((t.perm[j], c.times_root(t.phase[j])) for t, c in terms).items():
+        for i, amp in sum_terms((perm[j], rotations[phase[j]])
+                                for perm, phase, rotations in terms).items():
             rows[i][j] = amp
     return rows
 

@@ -9,12 +9,14 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gcalg
-from gcalg import AlgebraContext, apply_element, basis_indices, basis_state, eval_element, parse
+from gcalg import (AlgebraContext, CycloScalar, apply_element, basis_indices, basis_state,
+                   eval_element, parse)
 from gcalg import axioms, cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
 from helpers import densify, ordered_basis_vector, random_element, scalar_from_json
@@ -614,19 +616,67 @@ def test_gram_computes_only_the_cells_whose_supports_meet(monkeypatch, capsys):
     assert len(calls) == 27  # one per basis vector: each meets only itself
 
 
-def test_each_distinct_cell_is_encoded_once(monkeypatch, capsys):
+def counting_encoder(monkeypatch, fmt):
+    """Wrap the encoder of ``fmt`` and return the list of cells it is called on."""
+    module, name = {"json": (cli, "_json_cell"), "csv": (cli, "_approx"),
+                    "text": (expr, "print_canonical")}[fmt]
     encoded = []
-    original = cli._approx
+    original = getattr(module, name)
 
-    def counting(value):
+    def counting(value, *args):
         encoded.append(value)
-        return original(value)
+        return original(value, *args)
 
-    monkeypatch.setattr(cli, "_approx", counting)
+    monkeypatch.setattr(module, name, counting)
+    return encoded
+
+
+def stored_map(cell):
+    return tuple(cell.coeffs.items())
+
+
+def test_each_distinct_cell_is_encoded_once(monkeypatch, capsys):
+    encoded = counting_encoder(monkeypatch, "csv")
     code, out, _ = run(["gram", "--N", "2", "--n", "4", "--format", "csv"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 16
-    assert len(encoded) == len({id(v) for v in encoded}) <= 17  # 16 diagonal cells, one zero
+    assert [stored_map(cell) for cell in encoded] == [(), ((0, 1),)]  # the zero, then the one
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_each_distinct_stored_map_of_a_matrix_is_encoded_once(fmt, monkeypatch,
+                                                              written_matrices, capsys):
+    encoded = counting_encoder(monkeypatch, fmt)
+    text = "c[1] + (1/2 - q) c[2] c[3] + 3 c[4]^2 + q c[1] c[4]"
+    code, _, _ = run(["matrix", *context_flags(3, 2, "-"), "--format", fmt, text], capsys)
+    assert code == 0
+    rows, = written_matrices
+    distinct = {stored_map(cell) for row in rows for cell in row.values()}
+    assert len(distinct) < sum(map(len, rows))  # some stored maps repeat
+    assert len(encoded) == len(distinct) + 1  # and the zero cell
+    assert {stored_map(cell) for cell in encoded[1:]} == distinct
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_hand_built_rows_match_the_per_cell_writers(fmt, monkeypatch):
+    ctx = AlgebraContext.from_sign(3, 1, None)
+    m = ctx.order
+
+    def cell(coeffs):
+        return CycloScalar._raw(m, coeffs)
+
+    # Equal keys: an int 1 and a Fraction(1) at the same exponent.  Equal
+    # values in two stored orders, whose float sums differ in the last bit.
+    one, one_fraction = cell({2: 1}), cell({2: Fraction(1)})
+    forward, backward = cell({1: 1, 2: 1, 4: 1}), cell({4: 1, 2: 1, 1: 1})
+    assert forward.to_complex() != backward.to_complex()
+    rows = [{0: one, 2: forward}, {1: one_fraction}, {0: backward, 1: cell({0: Fraction(1, 3)})}]
+    expected = oracle_output(densify(rows, ctx), fmt, ctx)
+    encoded = counting_encoder(monkeypatch, fmt)
+    assert "".join(cli._matrix_chunks(rows, fmt, ctx)) == expected
+    # The zero, the root (once for both keys), both orders, the third.
+    assert [stored_map(c) for c in encoded] == [
+        (), stored_map(one), stored_map(forward), stored_map(backward), ((0, Fraction(1, 3)),)]
 
 
 @pytest.mark.parametrize("command", [["gram"], ["matrix", "c[1]+c[2]"]])

@@ -81,7 +81,21 @@ def _harness_copy(tmp_path):
 REVS = {"base": "b" * 40, "this": "t" * 40}
 
 
+DIGESTS = ["984 a591", "156 fabac18e"]
+
+
 class TestAbBench:
+    output_digests = staticmethod(ab_cycle.output_digests)  # before fake_digests replaces it
+
+    @pytest.fixture(autouse=True)
+    def fake_digests(self, monkeypatch):
+        # Both trees print the same digest lines unless a test says otherwise.
+        digests = {}
+        monkeypatch.setattr(ab_cycle, "output_digests",
+                            lambda tree: digests.get("this" if tree == ab_cycle.ROOT else "base",
+                                                     DIGESTS))
+        return digests
+
     def fake_runner(self, base, calls, failed=0):
         # Each tree's metrics follow from the seed: this tree has twice the
         # throughput and half the latency of the base, except at seed 12.
@@ -133,6 +147,31 @@ class TestAbBench:
         assert metrics["throughput_ops_s"]["this"]["median"] == 24.0
         assert metrics["latency_p50_ms"]["better"] == "lower"
         assert "wrote " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("base_digests,code", [
+        (DIGESTS, 0), (None, 0), (["984 a591", "156 0000"], 1), (DIGESTS[:1], 1),
+    ])
+    def test_output_digests_are_recorded_and_compared(self, base_digests, code, fake_digests,
+                                                      monkeypatch, tmp_path, capsys):
+        base = _harness_copy(tmp_path)
+        fake_digests["base"] = base_digests
+        monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, []))
+        target = tmp_path / "BENCH_t.json"
+        assert ab_cycle.bench("t", 2, base, 1, target, REVS, seconds=1.0) == code
+        report = json.loads(target.read_text())
+        assert report["digests"] == {"base": base_digests, "this": DIGESTS}
+        out = capsys.readouterr().out
+        assert ("the output digests of the trees differ" in out) == bool(code)
+
+    def test_output_digests_are_the_lines_of_the_trees_script(self, tmp_path):
+        assert self.output_digests(tmp_path) is None  # no tools/output_digest.py
+        script = tmp_path / "tools" / "output_digest.py"
+        script.parent.mkdir()
+        script.write_text("print('3 abc')\nprint('1 def')\n")
+        assert self.output_digests(tmp_path) == ["3 abc", "1 def"]
+        script.write_text("raise SystemExit('broken')\n")
+        with pytest.raises(SystemExit, match="output digest in .* failed:\nbroken"):
+            self.output_digests(tmp_path)
 
     def test_runs_last_the_benchmarks_run_seconds(self, monkeypatch, tmp_path):
         base = _harness_copy(tmp_path)

@@ -29,7 +29,10 @@ per metric each tree's median, Q1 and Q3 and the rounds each tree won by the
 metric's ``better``.  When this tree differs from its commit (untracked
 files included), the revision names the commit and a sha256 of the
 differences, so that the runs can be matched to the code that made them.
-It exits 1 when some run was not correct or had failed ops.
+Under ``"digests"`` it records the lines each tree's
+``tools/output_digest.py`` prints, or null for a tree without that script.
+It exits 1 when some run was not correct or had failed ops, or when both
+trees have digests and they differ.
 """
 
 from __future__ import annotations
@@ -165,6 +168,18 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"benchmark in {tree} gave no result line:\n{done.stderr}") from None
 
 
+def output_digests(tree: Path) -> list[str] | None:
+    """The lines ``tools/output_digest.py`` of ``tree`` prints, or None without that script."""
+    script = tree / "tools" / "output_digest.py"
+    if not script.is_file():
+        return None
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          check=False)
+    if done.returncode:
+        raise SystemExit(f"output digest in {tree} failed:\n{done.stderr}")
+    return done.stdout.splitlines()
+
+
 def revisions(base_rev: str) -> dict[str, str]:
     """The commits of both trees; a dirty tree also gets a digest of its changes.
 
@@ -228,6 +243,9 @@ def bench(label: str, rounds: int, base: Path, seed: int, target: Path,
         "workloads": {},
     }
     trees = {"base": base, "this": ROOT}
+    report["digests"] = digests = {side: output_digests(tree) for side, tree in trees.items()}
+    differ = None not in digests.values() and digests["base"] != digests["this"]
+    print(f"output digests: base {digests['base']}, this {digests['this']}", flush=True)
     bad = 0
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {"base": [], "this": []}
@@ -254,7 +272,9 @@ def bench(label: str, rounds: int, base: Path, seed: int, target: Path,
     print(f"wrote {target}")
     if bad:
         print(f"{bad} runs were not correct or had failed ops")
-    return 1 if bad else 0
+    if differ:
+        print("the output digests of the trees differ")
+    return 1 if bad or differ else 0
 
 
 def main(argv=None) -> int:
