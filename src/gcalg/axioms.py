@@ -17,10 +17,14 @@ each of those checks.  The
 tables change no result: a generator that is not such a table fails every
 table check with the offending basis state as counterexample.  The
 homomorphism check keeps a sparse oracle: each random word is applied letter
-by letter to sparse basis states and compared with the table of its normal
-form (``rep.monomial_table``, the builder ``gcalg matrix`` reads too), one
-basis state at a time, as a map from label to amplitude; it builds a table
-column only to write a counterexample.  The ground-state and
+by letter to sparse basis states, in lockstep (each letter, through
+``rep.apply_generator``, acts on the images of all basis states before the
+next letter does), and each image is compared, as a map from label to
+amplitude, with the table of the word's normal form (``rep.monomial_table``,
+the builder ``gcalg matrix`` reads too); the first basis state in basis
+order whose image differs is named, and a table column is built only to
+write that counterexample.  The power formula's closed form reads each
+basis state's digit a_k and head sum once per k.  The ground-state and
 projector identities act on sparse states; the projector identity applies
 the generators only to the basis states that E_k keeps.  Orthonormality
 compares ``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the
@@ -253,20 +257,22 @@ def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
     return CheckReport(ctx, name, True)
 
 
-def _odd_power_table(ctx: AlgebraContext, k: int, m: int) -> rep.PhasedPermutation:
-    # The closed form of c_{2k-1}^m stated in check_power_formula; raising
-    # digit k by m moves the row-major position by a multiple of its stride.
+def _odd_power_tables(ctx: AlgebraContext, k: int):
+    # The closed forms of c_{2k-1}^m stated in check_power_formula, for
+    # m = 0 .. 2N; raising digit k by m moves the row-major position by a
+    # multiple of its stride.  Each state's digit a_k and head sum
+    # a_1+...+a_{k-1} are read once.
     N = ctx.N
     order = ctx.order
     stride = N ** (ctx.n - k)
-    perm = []
-    phase = []
-    for j, digits in enumerate(rep.basis_indices(ctx)):
-        head = sum(digits[: k - 1])
-        ak = digits[k - 1]
-        perm.append(j + ((ak + m) % N - ak) * stride)
-        phase.append((ctx.zeta_exp * m + 2 * (m * ak + m * (m - 1) // 2 - m * head)) % order)
-    return rep.PhasedPermutation._raw(ctx, tuple(perm), tuple(phase))
+    cells = [(j, d[k - 1], sum(d[: k - 1])) for j, d in enumerate(rep.basis_indices(ctx))]
+    for m in range(2 * N + 1):
+        fixed = ctx.zeta_exp * m + m * (m - 1)  # zeta^m q^{m(m-1)/2}
+        yield rep.PhasedPermutation._raw(
+            ctx,
+            tuple([j + ((ak + m) % N - ak) * stride for j, ak, _ in cells]),
+            tuple([(fixed + 2 * m * (ak - head)) % order for _, ak, head in cells]),
+        )
 
 
 def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -282,9 +288,9 @@ def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
         return CheckReport(ctx, name, False, str(exc))
     for k in range(1, ctx.n + 1):
         power = rep.PhasedPermutation.identity(ctx)
-        for m in range(0, 2 * ctx.N + 1):
+        for m, closed in enumerate(_odd_power_tables(ctx, k)):
             what = f"c_{2 * k - 1}^{m} vs its closed form"
-            if detail := _mismatch(ctx, power, _odd_power_table(ctx, k, m), what):
+            if detail := _mismatch(ctx, power, closed, what):
                 return CheckReport(ctx, name, False, detail)
             power = tables[2 * k - 2] @ power
     return CheckReport(ctx, name, True)
@@ -299,10 +305,13 @@ def check_homomorphism(
 ) -> CheckReport:
     """Seeded random words act identically letter-by-letter and in normal form.
 
-    The letter-by-letter side applies each letter to sparse basis states; the
-    normal-form side is the table of ``normal_order(word)``, composed from
-    the generator tables.  Each image is compared with the table's target
-    label and root; ``PhasedPermutation.column`` is called only for the
+    The letter-by-letter side applies each word in lockstep: each letter,
+    rightmost first, acts on the images of all basis states before the next
+    letter does, one ``rep.apply_generator`` call per basis state and letter.
+    The normal-form side is the table of ``normal_order(word)``, composed
+    from the generator tables.  Each image is compared with the table's
+    target label and root, and the first basis state whose image differs is
+    named; ``PhasedPermutation.column`` is called only for the
     counterexample.
     """
     name = "homomorphism"
@@ -314,22 +323,24 @@ def check_homomorphism(
         return CheckReport(ctx, name, False, str(exc), seed)
     rng = random.Random(seed)
     top = ctx.num_generators
-    states = rep.basis_states(ctx)
-    labels = [digits for digits, _ in states]
+    labels, basis = zip(*rep.basis_states(ctx))
+    roots = [ctx.omega(k) for k in range(ctx.order)]
     power = functools.cache(lambda i, e: tables[i - 1] ** e)
+    apply = rep.apply_generator
     for _ in range(trials):
         length = rng.randint(0, max_len)
         word = Word(ctx, tuple(rng.randint(1, top) for _ in range(length)))
         normal = normal_order(word)
         table = rep.monomial_table(ctx, power, normal.exps).scaled(normal.phase.root_exponent())
-        perm, phase = table.perm, table.phase
-        for j, (digits, state) in enumerate(states):
-            direct = rep.apply_word(word, state)
-            # Dict equality runs the exact CycloScalar.__eq__ on every
-            # amplitude that is not the identical cached root.
-            if direct.terms != {labels[perm[j]]: ctx.omega(phase[j])}:
+        states = basis
+        for letter in reversed(word.letters):
+            states = [apply(letter, state) for state in states]
+        # Dict equality runs the exact CycloScalar.__eq__ on every
+        # amplitude that is not the identical shared root.
+        for j, (state, b, f) in enumerate(zip(states, table.perm, table.phase)):
+            if state.terms != {labels[b]: roots[f]}:
                 what = f"word {list(word.letters)} vs its normal form"
-                detail = _differs(what, digits, direct, table.column(j))
+                detail = _differs(what, labels[j], state, table.column(j))
                 return CheckReport(ctx, name, False, detail, seed)
     return CheckReport(ctx, name, True, None, seed)
 

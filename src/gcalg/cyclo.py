@@ -11,8 +11,12 @@ testing and equality reduce the coefficient polynomial modulo Phi_{2N} and
 are exact.  Amplitudes of the representation are single terms r w^k, and
 those take short cuts: products of two single terms add exponents, two
 single terms are compared by a closed rule, and ``times_root`` rotates
-exponents.  Floating point enters only through ``to_complex``, which exists
-for display and sanity oracles, never for equality decisions.
+exponents.  The roots w^k themselves are shared objects, one tuple per ring
+order, which know their exponent, so rotating a root is one index.  Zero
+tests return at once for a single term and fold exponents by w^N = -1 for
+an even order before they reduce.  Floating point enters only through
+``to_complex``, which exists for display and sanity oracles, never for
+equality decisions.
 
 :class:`ExactVector` is the one sparse vector over these scalars: a map from
 keys to nonzero scalars.  Algebra elements (keyed by exponent vectors) and
@@ -246,14 +250,14 @@ class CycloScalar:
         """This scalar times w^k: every stored exponent shifted by k.
 
         The stored map equals that of ``self * CycloScalar.root(order, k)``.
-        A root w^e (one term, int coefficient 1) gives the shared cached root.
+        A root w^e (one term, int coefficient 1) gives the shared root w^(e+k).
         """
         m = self.order
         coeffs = self.coeffs
         if len(coeffs) == 1:
             (e, v), = coeffs.items()
             if type(v) is int and v == 1:
-                return _root(m, (e + k) % m)
+                return _ROOTS[m][(e + k) % m]
         return CycloScalar._raw(m, {(e + k) % m: v for e, v in coeffs.items()})
 
     def conj(self) -> CycloScalar:
@@ -262,19 +266,32 @@ class CycloScalar:
         return CycloScalar._raw(m, {(-k) % m: v for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
-        """Exact zero test: reduce modulo the cyclotomic polynomial."""
-        if not self.coeffs:
-            return True
-        phi = cyclotomic_polynomial(self.order)
+        """Exact zero test: reduce modulo the cyclotomic polynomial.
+
+        A single stored term is a nonzero rational times a root, never zero.
+        For an even order 2N the exponents are first folded into [0, N) by
+        w^N = -1, which Phi_2N respects since it divides x^N + 1.  The
+        reduction steps over the nonzero coefficients of Phi only.
+        """
+        coeffs = self.coeffs
+        if len(coeffs) < 2:
+            return not coeffs
+        m = self.order
+        phi = cyclotomic_polynomial(m)
         dn = len(phi) - 1
-        rem = [0] * self.order
-        for k, v in self.coeffs.items():
-            rem[k] = v
+        size = m if m % 2 else m // 2  # w^(m/2) = -1 for an even order m
+        rem = [0] * size
+        for k, v in coeffs.items():
+            if k < size:
+                rem[k] += v
+            else:
+                rem[k - size] -= v
+        steps = [(j - dn, d) for j, d in enumerate(phi) if d]
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c:
-                for j, d in enumerate(phi):
-                    rem[i - dn + j] -= c * d
+                for j, d in steps:
+                    rem[i + j] -= c * d
         return not any(rem[:dn])
 
     def root_exponent(self) -> int | None:
@@ -461,9 +478,34 @@ def admissible_zeta_exps(N: int) -> tuple[int, ...]:
     return (1, N + 1)
 
 
-@lru_cache(maxsize=None)
-def _root(order: int, k: int) -> CycloScalar:
-    return CycloScalar.root(order, k)
+class _SharedRoot(CycloScalar):
+    """The root w^exp, stored as {exp: 1}: one shared object per exponent and order."""
+
+    __slots__ = ("exp",)
+
+    def __init__(self, order: int, exp: int):
+        self.order = order
+        self.coeffs = {exp: 1}
+        self.exp = exp
+
+    def times_root(self, k: int) -> CycloScalar:
+        m = self.order
+        return _ROOTS[m][(self.exp + k) % m]
+
+
+class _SharedRoots(dict):
+    """Ring order -> the tuple of shared roots w^0 .. w^(order-1), built on first use.
+
+    ``times_root`` and the context's ``one``, ``omega``, ``q`` and ``zeta``
+    hand out these objects, so rotating a root amplitude is one index.
+    """
+
+    def __missing__(self, order: int) -> tuple[_SharedRoot, ...]:
+        roots = self[order] = tuple(_SharedRoot(order, k) for k in range(order))
+        return roots
+
+
+_ROOTS = _SharedRoots()
 
 
 @lru_cache(maxsize=None)
@@ -536,19 +578,19 @@ class AlgebraContext:
         return _zero(self.order)
 
     def one(self) -> CycloScalar:
-        return _root(self.order, 0)
+        return _ROOTS[self.order][0]
 
     def scalar(self, value) -> CycloScalar:
         return CycloScalar.rational(self.order, value)
 
     def omega(self, k: int = 1) -> CycloScalar:
         """The root w^k, exponent reduced mod 2N."""
-        return _root(self.order, k % self.order)
+        return _ROOTS[self.order][k % self.order]
 
     def q(self, k: int = 1) -> CycloScalar:
         """The commutation phase q^k = w^{2k}."""
-        return _root(self.order, (2 * k) % self.order)
+        return _ROOTS[self.order][2 * k % self.order]
 
     def zeta(self, k: int = 1) -> CycloScalar:
         """The chosen square root of q, raised to the k-th power."""
-        return _root(self.order, (self.zeta_exp * k) % self.order)
+        return _ROOTS[self.order][self.zeta_exp * k % self.order]

@@ -14,7 +14,12 @@ extra zeta q^{a_k}.  The projector E_k keeps exactly the components with
 a_k = 0.  A state is a :class:`gcalg.cyclo.ExactVector` map from basis
 labels to amplitudes, the same sparse vector type as an algebra element.
 Operators act term by term on that map, so applying a generator never
-materializes a matrix; ``dense_matrix`` exists for exports and cross-checks
+materializes a matrix.  Every letter takes one path: ``apply_generator``
+checks the index and dispatches on parity to ``apply_odd`` or
+``apply_even``, and both call ``_raise_digit``, which builds each raised
+label with one tuple concatenation and rotates each amplitude with
+``CycloScalar.times_root`` (one index into the shared roots when the
+amplitude is a root).  ``dense_matrix`` exists for exports and cross-checks
 only, and stores only the nonzero entries of each row: at most D times the
 element's terms for dimension D, since every power product is a phased
 permutation.
@@ -24,7 +29,9 @@ state, its whole action also fits in a :class:`PhasedPermutation`: for each
 row-major basis position, a target position and an exponent of
 w = exp(i*pi/N).  ``generator_tables`` reads the 2n tables (or a chosen few)
 off ``apply_generator`` one basis state at a time, and products, powers and
-adjoints of the tables are then exact integer arithmetic.
+adjoints of the tables are then exact integer arithmetic; a product reads
+the left table's entries at the right table's targets with one
+``operator.itemgetter``.
 ``monomial_table`` composes them into the table of a power product
 c_1^{e_1} ... c_{2n}^{e_{2n}} from the generator powers a lookup gives it:
 the homomorphism check reads it for normal forms, and ``dense_matrix`` for
@@ -180,14 +187,18 @@ def _raise_digit(k: int, state: QuditState, zeta_power: int) -> QuditState:
         raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
     N = ctx.N
     zeta = ctx.zeta_exp * zeta_power  # the w-exponent of zeta^z
+    terms = state.terms
     out = {}
-    for digits, amp in state.terms.items():
+    for digits in terms:
         head = digits[: k - 1]
         ak = digits[k - 1]
-        out[(*head, (ak + 1) % N, *digits[k:])] = amp.times_root(
+        out[head + ((ak + 1) % N,) + digits[k:]] = terms[digits].times_root(
             zeta + 2 * (zeta_power * ak - sum(head))
         )
-    return QuditState._raw(ctx, out)
+    raised = QuditState.__new__(QuditState)
+    raised.ctx = ctx
+    raised.terms = out
+    return raised
 
 
 def apply_even(k: int, state: QuditState) -> QuditState:
@@ -285,11 +296,12 @@ class PhasedPermutation:
         if other.ctx != self.ctx:
             raise ContextMismatchError("tables from different contexts")
         m = self.ctx.order
-        perm, phase = self.perm, self.phase
+        # Every context has dim >= 2, so the getter returns tuples.
+        at = operator.itemgetter(*other.perm)
         return PhasedPermutation._raw(
             self.ctx,
-            tuple([perm[b] for b in other.perm]),
-            tuple([(f + phase[b]) % m for b, f in zip(other.perm, other.phase)]),
+            at(self.perm),
+            tuple([(f + g) % m for f, g in zip(at(self.phase), other.phase)]),
         )
 
     def __pow__(self, k: int) -> PhasedPermutation:
@@ -317,7 +329,7 @@ class PhasedPermutation:
     def scaled(self, k: int) -> PhasedPermutation:
         """The operator w^k times this one."""
         m = self.ctx.order
-        return PhasedPermutation._raw(self.ctx, self.perm, tuple((f + k) % m for f in self.phase))
+        return PhasedPermutation._raw(self.ctx, self.perm, tuple([(f + k) % m for f in self.phase]))
 
     def column(self, position: int) -> QuditState:
         """The image of the basis state at ``position``, as a sparse state."""
@@ -381,11 +393,11 @@ def monomial_table(ctx: AlgebraContext, power, exps) -> PhasedPermutation:
     ``power(i, e)`` is the table of c_i^e, as ``tables[i - 1] ** e`` over
     the generator tables; it is asked only for the nonzero exponents.
     """
-    table = PhasedPermutation.identity(ctx)
+    table = None
     for i, e in enumerate(exps, start=1):
         if e:
-            table = table @ power(i, e)
-    return table
+            table = power(i, e) if table is None else table @ power(i, e)
+    return PhasedPermutation.identity(ctx) if table is None else table
 
 
 def scalar_product(a: QuditState, b: QuditState) -> CycloScalar:

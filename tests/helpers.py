@@ -19,6 +19,7 @@ from gcalg import (
     ground_state,
     normal_order,
 )
+from gcalg.cyclo import cyclotomic_polynomial
 
 
 def random_scalar(rng, ctx: AlgebraContext, terms=(1, 2)) -> CycloScalar:
@@ -28,6 +29,24 @@ def random_scalar(rng, ctx: AlgebraContext, terms=(1, 2)) -> CycloScalar:
         r = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
         s = s + ctx.scalar(r) * ctx.omega(rng.randrange(ctx.order))
     return s
+
+
+def literal_is_zero(s: CycloScalar) -> bool:
+    """The oracle of ``CycloScalar.is_zero``: reduce the whole coefficient
+    polynomial modulo Phi_order, with no folding and no single-term shortcut."""
+    if not s.coeffs:
+        return True
+    phi = cyclotomic_polynomial(s.order)
+    dn = len(phi) - 1
+    rem = [0] * s.order
+    for k, v in s.coeffs.items():
+        rem[k] = v
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if c:
+            for j, d in enumerate(phi):
+                rem[i - dn + j] -= c * d
+    return not any(rem[:dn])
 
 
 def random_phase(rng, ctx: AlgebraContext) -> CycloScalar:

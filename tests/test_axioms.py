@@ -273,6 +273,32 @@ class TestOneBodyPerCheck:
         assert not report.passed
         assert " vs its normal form on |" in report.counterexample
 
+    @pytest.mark.parametrize("seed,expected", [
+        (0, "word [4, 1, 3, 4, 4, 3] vs its normal form on |(0, 0)>: "
+            "(w^5)|1,2> differs from (w^4)|1,2>"),
+        (2, "word [1] vs its normal form on |(1, 1)>: (w^1)|2,1> differs from (1)|2,1>"),
+        (9, "word [3, 3, 2, 2, 1, 3, 4] vs its normal form on |(0, 2)>: "
+            "(w^5)|0,0> differs from (w^4)|0,0>"),
+    ])
+    def test_homomorphism_counterexample_names_the_first_failing_basis_state(
+        self, seed, expected, monkeypatch
+    ):
+        # A letter acting on the mid-basis label |1,1> of (3, 2) picks up an
+        # extra w, after the tables are built.  The counterexample, first
+        # failing word and first failing basis state in basis order, is
+        # pinned as text.
+        ctx = AlgebraContext(3, 2)
+        tables = rep.generator_tables(ctx)
+        original = rep._raise_digit
+
+        def rotating(k, state, zeta_power):
+            out = original(k, state, zeta_power)
+            return ctx.omega(1) * out if (1, 1) in state.amps else out
+
+        monkeypatch.setattr(rep, "_raise_digit", rotating)
+        report = check_homomorphism(ctx, seed=seed, tables=tables)
+        assert report.counterexample == expected
+
     def test_counterexample_wording(self, monkeypatch):
         ctx = AlgebraContext(3, 2)
         original = rep.apply_odd

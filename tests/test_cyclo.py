@@ -13,11 +13,11 @@ from gcalg.cyclo import (
     AlgebraContext,
     ContextMismatchError,
     CycloScalar,
-    _root,
+    _ROOTS,
     admissible_zeta_exps,
     cyclotomic_polynomial,
 )
-from helpers import scalar_from_json
+from helpers import literal_is_zero, scalar_from_json
 
 
 def euler_phi(m):
@@ -211,6 +211,28 @@ class TestScalarArithmetic:
             zeros += exactly
         assert zeros > 0  # the sample must exercise both branches
 
+    def test_is_zero_agrees_with_the_literal_reduction(self):
+        # Every order 2..512: a random sparse scalar, an exact multiple of
+        # Phi_m (zero), and that multiple plus one root (nonzero).  The
+        # multiples have int coefficients, which keeps the oracle quick.
+        rng = random.Random(1409)
+        for m in range(2, 513):
+            phi = cyclotomic_polynomial(m)
+            terms = rng.randint(1, 4)
+            sparse = CycloScalar(m, {rng.randrange(m): rng.choice([1, -1, 2, -3, Fraction(1, 2)])
+                                     for _ in range(terms)})
+            factor = {rng.randrange(m - len(phi) + 1): rng.choice([1, -1, 2, -3])
+                      for _ in range(terms)}
+            product = {}
+            for a, x in factor.items():
+                for b, d in enumerate(phi):
+                    product[a + b] = product.get(a + b, 0) + x * d
+            multiple = CycloScalar(m, product)
+            shifted = multiple + CycloScalar.root(m, rng.randrange(m))
+            for s, zero in ((sparse, None), (multiple, True), (shifted, False)):
+                assert s.is_zero() == literal_is_zero(s), (m, s)
+                assert zero is None or s.is_zero() == zero, (m, s)
+
     def test_json_round_trip(self):
         ctx = AlgebraContext(3, 1)
         s = ctx.scalar(Fraction(3, 2)) * ctx.omega(5) + ctx.q(-1)
@@ -314,10 +336,12 @@ class TestUnitRootFastPath:
                 assert shifted is ctx.omega(j + k)
 
     def test_cached_roots_survive_a_suite_run(self):
-        # times_root hands out the cached roots themselves; none may be altered.
+        # times_root hands out the shared roots themselves; none may be altered,
+        # and each must know its own exponent.
         assert all(r.passed for r in run_suite(AlgebraContext(4, 2)))
         for k in range(8):
-            assert _stored(_root(8, k)) == [(k, int, 1)]
+            assert _stored(_ROOTS[8][k]) == [(k, int, 1)]
+            assert _ROOTS[8][k].exp == k
 
 
 _orders = st.sampled_from([4, 6, 8, 10, 12])

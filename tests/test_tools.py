@@ -33,6 +33,10 @@ def _fake_child(base, outputs):
     return child
 
 
+# Median 2.5 s, Q1-Q3 spread 1.75 s.
+_BASE_SECONDS = [1.0, 1.5, 2.0, 2.5, 2.5, 2.5, 3.0, 3.5, 4.0, 4.5]
+
+
 class TestAbCycle:
     def test_same_outputs_pass_and_rounds_are_counted(self, monkeypatch, capsys, tmp_path):
         ops = [["0", "a"], ["1", "b"]]
@@ -43,6 +47,35 @@ class TestAbCycle:
         assert "won: base 0/3, this 3/3" in out
         assert "(base/this 2.000)" in out
         assert "outputs: all 2 ops give the same exit code and stdout" in out
+
+    @pytest.mark.parametrize("this_seconds,won,verdict", [
+        ([b / 10 for b in _BASE_SECONDS], 10, "holds"),
+        ([9.0, 9.0, *(b / 10 for b in _BASE_SECONDS[2:])], 8, "does not hold"),
+        ([b - 0.25 for b in _BASE_SECONDS], 10, "does not hold"),
+    ])
+    def test_quartiles_and_the_claim_rule_are_reported(self, this_seconds, won, verdict,
+                                                       monkeypatch, capsys, tmp_path):
+        calls = iter(range(20))
+
+        def child(src, workload, seed):
+            r = next(calls) // 2  # the round: one call per tree
+            seconds = _BASE_SECONDS[r] if src == tmp_path / "src" else this_seconds[r]
+            return {"seconds": seconds, "ops": [["0", "a"]], "argv": ["op-0"]}
+
+        monkeypatch.setattr(ab_cycle, "child", child)
+        assert ab_cycle.compare(10, tmp_path, "verify_suite", 1) == 0
+        out = capsys.readouterr().out
+        base_q1, _, base_q3 = ab_cycle.quartiles(_BASE_SECONDS)
+        this_q1, this_med, this_q3 = ab_cycle.quartiles(this_seconds)
+        assert f"   q1  {base_q1:8.3f}  {this_q1:8.3f}\n" in out
+        assert f"   q3  {base_q3:8.3f}  {this_q3:8.3f}\n" in out
+        assert f"claim that this is faster: won {won}/10 (needs 9 in 10), median gap " \
+               f"{2.5 - this_med:.3f} s (needs more than the base's Q1-Q3 spread, " \
+               f"{base_q3 - base_q1:.3f} s): {verdict}\n" in out
+
+    def test_quartiles_of_one_round_are_its_value(self):
+        assert ab_cycle.quartiles([1.5]) == (1.5, 1.5, 1.5)
+        assert ab_cycle.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
 
     def test_every_mismatching_op_is_listed(self, monkeypatch, capsys, tmp_path):
         base = [["0", "a"], ["0", "b"], ["0", "c"]]

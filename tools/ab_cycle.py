@@ -12,11 +12,13 @@ each interpreter runs one cycle of the op list that this tree's
 ``perfbench/workloads.py`` builds for W and seed S (read only, never
 changed), calling ``gcalg.cli.main`` in process with the ``gcalg`` package
 of its own tree.  Only the cycle is timed, not the interpreter start or the
-imports.  The script prints the seconds of each round, the median per tree
-and the rounds each tree won.  It also compares every op's exit code and
-stdout between the two trees, in every round, and lists each op that
-differs by its index in the cycle and its command line; it then exits 1.
-Stderr is not compared.
+imports.  The script prints the seconds of each round, the median, Q1 and
+Q3 per tree and the rounds each tree won, and whether a claim that this
+tree is faster holds: it must win at least 9 in 10 rounds, and its median
+must beat the base's by more than the base's Q1-Q3 spread.  It also
+compares every op's exit code and stdout between the two trees, in every
+round, and lists each op that differs by its index in the cycle and its
+command line; it then exits 1.  Stderr is not compared.
 
 With ``--bench LABEL``, round r runs ``perfbench/run.py --trace 0`` with seed
 S + r for ``run_seconds`` of ``BENCHMARK.json`` in each tree, on every
@@ -105,6 +107,13 @@ def checkout(rev: str):
         yield Path(tmp)
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Q1, median and Q3 of ``values``; a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
 def compare(rounds: int, base: Path, workload: str, seed: int) -> int:
     trees = {"base": base / "src", "this": ROOT / "src"}
     seconds = {name: [] for name in trees}
@@ -122,11 +131,17 @@ def compare(rounds: int, base: Path, workload: str, seed: int) -> int:
             if a != b:
                 mismatches[i] = this["argv"][i]
         print(f"{r + 1:>5}  {seconds['base'][-1]:8.3f}  {seconds['this'][-1]:8.3f}")
-    med = {name: statistics.median(values) for name, values in seconds.items()}
+    (base_q1, base_med, base_q3), (q1, med, q3) = map(quartiles, seconds.values())
     won = sum(t < b for b, t in zip(seconds["base"], seconds["this"]))
-    print(f"{'median':>5}  {med['base']:8.3f}  {med['this']:8.3f}  "
-          f"(base/this {med['base'] / med['this']:.3f})")
+    print(f"{'median':>5}  {base_med:8.3f}  {med:8.3f}  (base/this {base_med / med:.3f})")
+    print(f"{'q1':>5}  {base_q1:8.3f}  {q1:8.3f}")
+    print(f"{'q3':>5}  {base_q3:8.3f}  {q3:8.3f}")
     print(f"won: base {rounds - won}/{rounds}, this {won}/{rounds}")
+    gap, spread = base_med - med, base_q3 - base_q1
+    holds = 10 * won >= 9 * rounds and gap > spread
+    print(f"claim that this is faster: won {won}/{rounds} (needs 9 in 10), median gap "
+          f"{gap:.3f} s (needs more than the base's Q1-Q3 spread, {spread:.3f} s): "
+          f"{'holds' if holds else 'does not hold'}")
     if not mismatches:
         print(f"outputs: all {len(this['ops'])} ops give the same exit code and stdout")
         return 0
@@ -214,7 +229,7 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         lost = sum(sign * (t - b) < 0 for b, t in zip(values["base"], values["this"]))
         out[name] = {"unit": metric["unit"], "better": metric["better"]}
         for side, series in values.items():
-            q1, median, q3 = statistics.quantiles(series, n=4)
+            q1, median, q3 = quartiles(series)
             out[name][side] = {"median": median, "q1": q1, "q3": q3}
         out[name]["won"] = {"base": lost, "this": won}
     return out
