@@ -21,7 +21,11 @@ tables and refuses, before any work, an element whose terms times D exceed
 ``rep.MAX_EXPORT_WORK`` (a ``DenseCapError``, one line and exit 1).  It
 checks every stored entry, each object once, before the first byte is
 written, and the writer encodes the zero cell once and each distinct stored
-map once, writing each row as it is encoded.
+map once, writing each row as it is encoded.  A JSON cell is written from
+the fixed layout that ``json.dumps`` gives it, with no encoder built per
+cell; a CSV field is quoted by ``csv`` once, and a row is one comma join.
+So ``gram --N 2 --n 12 --format csv`` writes its 100.7 MB in about 0.6-0.9 s
+(whole process, Python 3.11, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from types import SimpleNamespace
 
 from . import axioms, expr, rep
@@ -151,16 +156,29 @@ def _approx(value) -> str:
 
 
 def _json_cell(value) -> str:
-    # One cell as json.dumps(matrix, indent=2) writes it, two levels deep.
-    return json.dumps(value.to_json(), indent=2).replace("\n", "\n    ")
+    """One cell as ``json.dumps(matrix, indent=2)`` writes it, two levels deep.
+
+    The layout is the one that ``json.dumps`` gives ``CycloScalar.to_json``;
+    the leaves are written by the json module's own rules: ints, strings by
+    ``encode_basestring_ascii`` and floats by ``float.__repr__`` (``!r``),
+    which ``_check_printable`` keeps finite.
+    """
+    z = value.to_complex()
+    coeffs = ",".join(f"\n        [\n          {k},\n          {_json_string(str(v))}\n        ]"
+                      for k, v in sorted(value.coeffs.items()))
+    coeffs = f"[{coeffs}\n      ]" if coeffs else "[]"
+    return (f'{{\n      "order": {value.order},\n      "coeffs": {coeffs},\n      "approx": {{'
+            f'\n        "re": {z.real!r},\n        "im": {z.imag!r}\n      }}\n    }}')
 
 
 def _matrix_chunks(rows, fmt: str, ctx):
     """Yield a dense export row by row, byte for byte as the per-cell writers give it.
 
     ``rows`` are shaped as ``rep.dense_matrix`` returns them.  JSON is
-    ``json.dumps(cells, indent=2)``, CSV is ``csv.writer`` over ``_approx``
-    and text is tab-joined ``print_canonical``.  The zero cell is encoded
+    ``json.dumps(cells, indent=2)``, each cell written by ``_json_cell``;
+    CSV is ``csv.writer`` over ``_approx``, each cell's field quoted by a
+    one-field ``writerow`` and each row joined by commas; text is
+    tab-joined ``print_canonical``.  The zero cell is encoded
     once and each distinct stored map once: entries are keyed by their
     stored map in stored order (``to_complex`` sums in that order), and
     an int and an equal Fraction coefficient, equal keys, encode alike.
@@ -173,9 +191,13 @@ def _matrix_chunks(rows, fmt: str, ctx):
         line = lambda cells: "[\n    " + ",\n    ".join(cells) + "\n  ]"
         opening, between, closing = "[\n  ", ",\n  ", "\n]\n"
     elif fmt == "csv":
-        encode = _approx
+        # csv.writer quotes each field on its own, so a row is its cells'
+        # one-field lines, without their "\r\n", joined by commas.  (A row of
+        # one empty field would differ, but _approx is never empty.)
         # writerow returns what write returns: here the encoded line itself.
-        line = csv.writer(SimpleNamespace(write=str)).writerow
+        field = csv.writer(SimpleNamespace(write=str)).writerow
+        encode = lambda cell: field([_approx(cell)])[:-2]
+        line = lambda cells: ",".join(cells) + "\r\n"
     else:
         encode = lambda cell: expr.print_canonical(cell, ctx)
         line = lambda cells: "\t".join(cells) + "\n"

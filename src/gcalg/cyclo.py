@@ -12,11 +12,11 @@ are exact.  Amplitudes of the representation are single terms r w^k, and
 those take short cuts: products of two single terms add exponents, two
 single terms are compared by a closed rule, and ``times_root`` rotates
 exponents.  The roots w^k themselves are shared objects, one tuple per ring
-order, which know their exponent, so rotating a root is one index.  Zero
-tests return at once for a single term and fold exponents by w^N = -1 for
-an even order before they reduce.  Floating point enters only through
-``to_complex``, which exists for display and sanity oracles, never for
-equality decisions.
+order, which know their exponent, so rotating a root is one index and its
+``root_exponent`` is a stored attribute.  Zero tests return at once for a
+single term and fold exponents by w^N = -1 for an even order before they
+reduce.  Floating point enters only through ``to_complex``, which exists
+for display and sanity oracles, never for equality decisions.
 
 :class:`ExactVector` is the one sparse vector over these scalars: a map from
 keys to nonzero scalars.  Algebra elements (keyed by exponent vectors) and
@@ -491,6 +491,9 @@ class _SharedRoot(CycloScalar):
     def times_root(self, k: int) -> CycloScalar:
         m = self.order
         return _ROOTS[m][(self.exp + k) % m]
+
+    def root_exponent(self) -> int:
+        return self.exp
 
 
 class _SharedRoots(dict):

@@ -63,8 +63,8 @@ MAX_PRODUCT_WORK = 2**16
 # Most letters an element may apply to a ket in a state or bra-ket
 # expression.  ``apply_element`` replays every letter of every term on the
 # ket, so the letters (the sum of every term's exponents) are counted, and
-# refused above this budget, before any is applied.  At about 3.5 us a
-# letter the budget takes about 0.25 s; the benchmark's actions stay under
+# refused above this budget, before any is applied.  At about 2.5 us a
+# letter the budget takes about 0.2 s; the benchmark's actions stay under
 # 100 letters.
 MAX_ACTION_LETTERS = 2**16
 

@@ -583,6 +583,26 @@ def test_matrix_output_matches_the_per_cell_writers(N, n, sign, capsys):
             assert out == oracle_output(matrix, fmt, ctx)
 
 
+@pytest.mark.parametrize("N,n,sign", [(3, 4, "-"), (2, 7, "+")])
+def test_csv_at_the_largest_benchmark_dims_matches_the_per_cell_writers(N, n, sign, capsys):
+    # The dims 81 and 128 that the dense-export benchmark writes as CSV.
+    ctx = AlgebraContext.from_sign(N, n, sign)
+    rng = random.Random(f"csv{N}{n}")
+    element = random_element(rng, ctx)
+    while len(element.terms) < 2:
+        element = random_element(rng, ctx)
+    text = expr.print_canonical(element)
+    matrix = densify(rep.dense_matrix(eval_element(parse(text), ctx)), ctx)
+    code, out, _ = run(["matrix", *context_flags(N, n, sign), "--format", "csv", text], capsys)
+    assert code == 0
+    assert out == oracle_output(matrix, "csv", ctx)
+    vectors = [ordered_basis_vector(ctx, digits) for digits in basis_indices(ctx)]
+    gram = [[rep.scalar_product(vr, vc) for vc in vectors] for vr in vectors]
+    code, out, _ = run(["gram", *context_flags(N, n, sign), "--format", "csv"], capsys)
+    assert code == 0
+    assert out == oracle_output(gram, "csv", ctx)
+
+
 @pytest.mark.parametrize("N,n,sign", DENSE_CONTEXTS)
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_gram_matches_all_pairs(N, n, sign, fmt, written_matrices, capsys):
@@ -677,6 +697,50 @@ def test_hand_built_rows_match_the_per_cell_writers(fmt, monkeypatch):
     # The zero, the root (once for both keys), both orders, the third.
     assert [stored_map(c) for c in encoded] == [
         (), stored_map(one), stored_map(forward), stored_map(backward), ((0, Fraction(1, 3)),)]
+
+
+class _NegativeZero(CycloScalar):
+    """A cell whose approximation is -0.0 in both parts, which no sum in to_complex gives."""
+
+    __slots__ = ()
+
+    def to_complex(self):
+        return complex(-0.0, -0.0)
+
+
+def json_cells(order):
+    """Cells of every shape a JSON export writes, at one ring order."""
+    near = (1 << cli.FLOAT_BITS) - 1  # the largest integral magnitude with an approximation
+    rng = random.Random(order)
+
+    def k():
+        return rng.randrange(order)
+
+    maps = [
+        {},
+        {0: 1},
+        {k(): -1},
+        {k(): 1, k(): 1},
+        {k(): 123, k(): -45, k(): 6},
+        {k(): Fraction(-7, 12), k(): Fraction(1234, 567)},
+        {0: Fraction(1, 10**20)},  # an approximation in exponent form
+        {0: near, order - 1: -near},  # exponent form with many digits
+        {k(): Fraction(2 * near + 1, 2)},  # just under 2^FLOAT_BITS
+    ]
+    return [CycloScalar._raw(order, coeffs) for coeffs in maps] + [_NegativeZero._raw(order, {})]
+
+
+def test_json_cell_matches_json_dumps():
+    orders = sorted({AlgebraContext(N, 1).order for N in range(2, MAX_N + 1)})
+    assert orders[0] == 4 and orders[-1] == 2 * MAX_N
+    for order in orders:
+        for cell in json_cells(order):
+            cli._check_printable([cell], "json")
+            expected = json.dumps(cell.to_json(), indent=2).replace("\n", "\n    ")
+            assert cli._json_cell(cell) == expected
+    exponent, negative_zero = json_cells(4)[6], json_cells(4)[-1]
+    assert "e-20" in cli._json_cell(exponent)
+    assert '"re": -0.0' in cli._json_cell(negative_zero)
 
 
 @pytest.mark.parametrize("command", [["gram"], ["matrix", "c[1]+c[2]"]])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcalg import run_suite
+from gcalg.cli import MAX_N
 from gcalg.cyclo import (
     AlgebraContext,
     ContextMismatchError,
@@ -342,6 +343,20 @@ class TestUnitRootFastPath:
         for k in range(8):
             assert _stored(_ROOTS[8][k]) == [(k, int, 1)]
             assert _ROOTS[8][k].exp == k
+
+    def test_shared_roots_read_their_exponent(self):
+        # Every ring order the CLI allows.  The orders built here, about 18 MB
+        # of roots, are dropped again when the test ends.
+        built = [2 * N for N in range(2, MAX_N + 1) if 2 * N not in _ROOTS]
+        try:
+            for N in range(2, MAX_N + 1):
+                m = 2 * N
+                for k, root in enumerate(_ROOTS[m]):
+                    assert root.root_exponent() == k
+                    assert CycloScalar._raw(m, {k: 1}).root_exponent() == k
+        finally:
+            for m in built:
+                del _ROOTS[m]
 
 
 _orders = st.sampled_from([4, 6, 8, 10, 12])

@@ -358,6 +358,29 @@ class TestPhasedPermutation:
         assert chosen[0] is None and chosen[3] is None
         assert generator_tables(ctx, set()) == [None] * 4
 
+    @pytest.mark.parametrize("image,message", [
+        (lambda state, out: {**out, (0, 0): state.ctx.one()},
+         "c_2|(0, 1)> has 2 terms, expected 1"),
+        (lambda state, out: {(0, 3): state.ctx.one()},
+         "c_2|(0, 1)> lands on (0, 3), not a basis label"),
+    ])
+    def test_a_faulty_generator_is_named_at_its_first_basis_state(self, image, message,
+                                                                  monkeypatch):
+        # The fault hits c_2 (apply_even on qudit 1) on every label with a_2 = 1.
+        ctx = AlgebraContext(3, 2)
+        original = rep.apply_even
+
+        def faulty(k, state):
+            out = original(k, state)
+            if k == 1 and next(iter(state.terms))[1] == 1:
+                return rep.QuditState._raw(ctx, image(state, out.terms))
+            return out
+
+        monkeypatch.setattr(rep, "apply_even", faulty)
+        with pytest.raises(rep.NotPhasedPermutationError) as caught:
+            generator_tables(ctx)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
     def test_composed_tables_match_apply_word(self, N, n, zeta_exp):
         ctx = AlgebraContext(N, n, zeta_exp)

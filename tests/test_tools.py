@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -205,6 +206,21 @@ class TestAbBench:
         script.write_text("raise SystemExit('broken')\n")
         with pytest.raises(SystemExit, match="output digest in .* failed:\nbroken"):
             self.output_digests(tmp_path)
+
+    def test_bench_runs_write_bytecode_caches_in_both_trees(self, monkeypatch, tmp_path):
+        # A tree that may not cache bytecode compiles at every start: setup_s
+        # would then favour the tree that holds caches of earlier runs.
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        seen = []
+
+        def run(argv, **kwargs):
+            seen.append(kwargs["env"])
+            return SimpleNamespace(stdout='{"correct": true}\n', stderr="")
+
+        monkeypatch.setattr(ab_cycle.subprocess, "run", run)
+        assert ab_cycle.bench_run(tmp_path, "dense_export", 1, 2.0) == {"correct": True}
+        env, = seen
+        assert "PYTHONDONTWRITEBYTECODE" not in env and env["PATH"] == os.environ["PATH"]
 
     def test_runs_last_the_benchmarks_run_seconds(self, monkeypatch, tmp_path):
         base = _harness_copy(tmp_path)

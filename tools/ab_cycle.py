@@ -28,9 +28,10 @@ differ between the trees.  It writes ``BENCH_LABEL.json`` next to
 ``BENCHMARK.json``: both revisions, the Python version and CPU count, and
 per workload each run's ``correct``, ``failed`` and end-to-end metrics, then
 per metric each tree's median, Q1 and Q3 and the rounds each tree won by the
-metric's ``better``.  When this tree differs from its commit (untracked
-files included), the revision names the commit and a sha256 of the
-differences, so that the runs can be matched to the code that made them.
+metric's ``better``.  Both trees' runs write bytecode caches, whatever
+``PYTHONDONTWRITEBYTECODE`` says.  When this tree differs from its commit
+(untracked files included), the revision names the commit and a sha256 of
+the differences, so that the runs can be matched to the code that made them.
 Under ``"digests"`` it records the lines each tree's
 ``tools/output_digest.py`` prints, or null for a tree without that script.
 It exits 1 when some run was not correct or had failed ops, or when both
@@ -170,12 +171,16 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` in ``tree``: its result line, parsed.
 
     Bytecode caches are written as by any run, so that ``setup_s`` compiles
-    the sources in neither tree after the first run.
+    the sources in neither tree after the first run.  ``PYTHONDONTWRITEBYTECODE``
+    is dropped from the run's environment: with it, the exported tree would
+    compile its sources at every start, while this tree may hold caches of
+    earlier runs, which favours this tree in ``setup_s`` and ``peak_rss_mb``.
     """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     done = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False,
+        cwd=tree, env=env, capture_output=True, text=True, check=False,
     )
     try:
         return json.loads(done.stdout.splitlines()[-1])
