@@ -26,7 +26,7 @@ from gcalg import (
     print_canonical,
     run_suite,
 )
-from gcalg import rep
+import faults
 from helpers import bubble_product_oracle, random_element, random_monomial, random_state
 
 SUITE_CONTEXTS = [
@@ -168,49 +168,18 @@ def test_criterion_6_parser_round_trip():
             assert 0 <= info.value.pos <= len(bad), bad
 
 
-def _suite_catches(ctx, monkeypatch, target, mutant):
-    with monkeypatch.context() as patch:
-        patch.setattr(rep, target, mutant)
-        reports = run_suite(ctx)
-    return [r.name for r in reports if not r.passed]
-
-
 def test_criterion_7_mutation_robustness(monkeypatch):
     with criterion(7, "injected single-phase faults are detected"):
         ctx = AlgebraContext(3, 2)
-        original_odd = rep.apply_odd
-        minus_one = ctx.scalar(-1)
-        zeta = ctx.zeta()
-
-        # (a) global sign flip on the odd generators
-        caught = _suite_catches(
-            ctx, monkeypatch, "apply_odd", lambda k, s: minus_one * original_odd(k, s)
-        )
-        assert caught, "sign flip in apply_odd went unnoticed"
-
-        # (b) dropped q^{a_k} factor: the odd generator degrades to zeta c_{2k}
-        caught = _suite_catches(
-            ctx, monkeypatch, "apply_odd", lambda k, s: zeta * rep.apply_even(k, s)
-        )
-        assert caught, "dropped q^(a_k) factor went unnoticed"
-
-        # (c) off-by-one in the head sum of apply_even (includes digit k)
-        def even_with_long_head(k, state):
-            out = QuditState(state.ctx, {})
-            for digits, amp in state.amps.items():
-                head = sum(digits[:k])  # faulty: one digit too many
-                bumped = digits[: k - 1] + ((digits[k - 1] + 1) % state.ctx.N,) + digits[k:]
-                out = out + QuditState(state.ctx, {bumped: amp * state.ctx.q(-head)})
-            return out
-
-        caught = _suite_catches(ctx, monkeypatch, "apply_even", even_with_long_head)
-        assert caught, "off-by-one head sum went unnoticed"
-
-        # (d) wrong zeta exponent: zeta^2 instead of zeta
-        caught = _suite_catches(
-            ctx, monkeypatch, "apply_odd", lambda k, s: zeta * original_odd(k, s)
-        )
-        assert caught, "wrong zeta exponent went unnoticed"
+        # (a) global sign flip on the odd generators; (b) dropped q^{a_k}
+        # factor: the odd generator degrades to zeta c_{2k}; (c) off-by-one
+        # in the head sum of apply_even (includes digit k); (d) wrong zeta
+        # exponent: zeta^2 instead of zeta.
+        for fault in ("odd_sign_flip", "odd_without_q_ak", "even_long_head", "odd_zeta_squared"):
+            with monkeypatch.context() as patch:
+                faults.inject(patch, fault)
+                caught = [r.name for r in run_suite(ctx) if not r.passed]
+            assert caught, f"{fault} went unnoticed"
 
 
 def test_criterion_8_performance_floor():
