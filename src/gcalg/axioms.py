@@ -8,27 +8,27 @@ state, so operator identities are checked on its table
 exponent per basis state, read off ``rep.apply_generator`` on every basis
 state.  Products, powers and adjoints of tables are integer arithmetic, and
 two operators agree iff their tables are equal; a failing identity names the
-first basis state where the two sides differ.  The table checks (unitarity,
-order, commutation, power formula, homomorphism) take the 2n generator
-tables as an optional last argument and read them off the representation
+first basis state where the two sides differ.  Seven checks are table
+checks (unitarity, order, commutation, the ground-state and projector
+identities, power formula, homomorphism): each takes the 2n generator tables
+as an optional last argument and reads them off the representation
 (``rep.generator_tables``) when it is omitted; ``run_suite`` builds them
 once per call, only when a selected check needs them, and passes them to
-each of those checks.  The
-tables change no result: a generator that is not such a table fails every
-table check with the offending basis state as counterexample.  The
-homomorphism check keeps a sparse oracle: each random word is applied letter
-by letter to sparse basis states, in lockstep (each letter, through
+each of those checks.  The tables change no result: a generator that is not
+such a table fails every table check with the offending basis state as
+counterexample.  The ground-state identity compares the tables of c_{2k-1}
+and zeta c_{2k} at |0..0>; the projector identity applies E_k to every basis
+state and compares them at each label E_k keeps.  The homomorphism check
+keeps a sparse oracle: each random word is applied letter by letter to
+sparse basis states, in lockstep (each letter, through
 ``rep.apply_generator``, acts on the images of all basis states before the
 next letter does), and each image is compared, as a map from label to
 amplitude, with the table of the word's normal form (``rep.monomial_table``,
 the builder ``gcalg matrix`` reads too); the first basis state in basis
 order whose image differs is named, and a table column is built only to
 write that counterexample.  The power formula's closed form reads each
-basis state's digit a_k and head sum once per k.  The ground-state and
-projector identities act on sparse states; the projector identity applies
-the generators only to the basis states that E_k keeps.  Orthonormality
-compares ``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the
-identity.
+basis state's digit a_k and head sum once per k.  Orthonormality compares
+``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the identity.
 
 Checked, for every context:
 
@@ -45,6 +45,15 @@ Checked, for every context:
 * the closed form for powers of odd generators;
 * agreement of normal-form application with letter-by-letter application
   on random seeded words.
+
+The checks overlap, and all nine are kept: a fault shows in which checks
+fail.  Two implications hold for any fault:
+
+* a bijective table whose (N-1)-th power equals its dagger has c^N = 1, so
+  a fault that fails ``order`` also fails ``unitarity``;
+* while each E_k keeps |0..0>, the projector identity compares every
+  position the ground-state identity compares, so a fault that fails
+  ``ground_identity`` also fails ``projector_identity``.
 """
 
 from __future__ import annotations
@@ -108,25 +117,33 @@ def _differs(what: str, label, lhs: rep.QuditState, rhs: rep.QuditState) -> str:
     return f"{what} on |{label}>: {_state_text(lhs)} differs from {_state_text(rhs)}"
 
 
-def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str) -> str | None:
-    """None when two tables agree, else both columns at the first basis state where they differ."""
-    if lhs == rhs:
-        return None
-    j = next(
-        j for j in range(ctx.dim)
-        if lhs.perm[j] != rhs.perm[j] or lhs.phase[j] != rhs.phase[j]
-    )
-    return _differs(what, rep.basis_label(ctx, j), lhs.column(j), rhs.column(j))
+def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str | None:
+    """None when two tables agree, else both columns at the first basis state where they differ.
 
-
-def _tables(ctx: AlgebraContext, tables):
-    """``tables``, or when None the tables of c_1 .. c_2n read off the representation.
-
-    Raises NotPhasedPermutationError naming the first column that is not +-w^k |b>.
+    With ``positions``, ascending basis positions, only those are compared.
     """
-    if tables is None:
-        tables = rep.generator_tables(ctx)
-    return tables
+    if positions is None:
+        if lhs == rhs:
+            return None
+        positions = range(ctx.dim)
+    for j in positions:
+        if lhs.perm[j] != rhs.perm[j] or lhs.phase[j] != rhs.phase[j]:
+            return _differs(what, rep.basis_label(ctx, j), lhs.column(j), rhs.column(j))
+    return None
+
+
+def _table_check(ctx: AlgebraContext, name: str, tables, body, seed=None) -> CheckReport:
+    """The report of ``body(tables)``, which returns the first counterexample or None.
+
+    ``tables`` are the 2n generator tables; when None they are read off the
+    representation, and a generator that is not a table fails the check with
+    the first column that is not +-w^k |b> as counterexample.
+    """
+    try:
+        detail = body(rep.generator_tables(ctx) if tables is None else tables)
+    except rep.NotPhasedPermutationError as exc:
+        detail = str(exc)
+    return CheckReport(ctx, name, detail is None, detail, seed)
 
 
 def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
@@ -157,84 +174,75 @@ def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
     the check also asserts that the conjugate transpose coincides with the
     (N-1)-th power of c.
     """
-    name = "unitarity"
-    try:
-        tables = _tables(ctx, tables)
-    except rep.NotPhasedPermutationError as exc:
-        return CheckReport(ctx, name, False, str(exc))
-    for i, table in enumerate(tables, start=1):
-        if not table.is_bijection():
-            return CheckReport(ctx, name, False, f"c_{i} does not permute the basis labels")
-        what = f"c_{i}^(N-1) vs c_{i}^dagger"
-        if detail := _mismatch(ctx, table ** (ctx.N - 1), table.dagger(), what):
-            return CheckReport(ctx, name, False, detail)
-    return CheckReport(ctx, name, True)
+    def body(tables):
+        for i, table in enumerate(tables, start=1):
+            if not table.is_bijection():
+                return f"c_{i} does not permute the basis labels"
+            what = f"c_{i}^(N-1) vs c_{i}^dagger"
+            if detail := _mismatch(ctx, table ** (ctx.N - 1), table.dagger(), what):
+                return detail
+        return None
+
+    return _table_check(ctx, "unitarity", tables, body)
 
 
 def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
     """Every generator satisfies c^N = 1 on every basis state."""
-    name = "order"
-    try:
-        tables = _tables(ctx, tables)
-    except rep.NotPhasedPermutationError as exc:
-        return CheckReport(ctx, name, False, str(exc))
-    identity = rep.PhasedPermutation.identity(ctx)
-    for i, table in enumerate(tables, start=1):
-        if detail := _mismatch(ctx, table ** ctx.N, identity, f"c_{i}^N vs 1"):
-            return CheckReport(ctx, name, False, detail)
-    return CheckReport(ctx, name, True)
+    def body(tables):
+        identity = rep.PhasedPermutation.identity(ctx)
+        for i, table in enumerate(tables, start=1):
+            if detail := _mismatch(ctx, table ** ctx.N, identity, f"c_{i}^N vs 1"):
+                return detail
+        return None
+
+    return _table_check(ctx, "order", tables, body)
 
 
 def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
     """c_i c_j = q c_j c_i for every pair i < j, on every basis state."""
-    name = "commutation"
-    try:
-        tables = _tables(ctx, tables)
-    except rep.NotPhasedPermutationError as exc:
-        return CheckReport(ctx, name, False, str(exc))
-    for i, j in itertools.combinations(range(1, ctx.num_generators + 1), 2):
-        lhs = tables[i - 1] @ tables[j - 1]
-        rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
-        if detail := _mismatch(ctx, lhs, rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"):
-            return CheckReport(ctx, name, False, detail)
-    return CheckReport(ctx, name, True)
+    def body(tables):
+        for i, j in itertools.combinations(range(1, ctx.num_generators + 1), 2):
+            lhs = tables[i - 1] @ tables[j - 1]
+            rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
+            if detail := _mismatch(ctx, lhs, rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"):
+                return detail
+        return None
+
+    return _table_check(ctx, "commutation", tables, body)
 
 
-def _zeta_identity(ctx: AlgebraContext, name: str, cases) -> CheckReport:
-    # c_{2k-1} v = zeta c_{2k} v for every case (k, label, v), on sparse states.
-    zeta = ctx.zeta()
-    for k, label, state in cases:
-        lhs = rep.apply_odd(k, state)
-        rhs = zeta * rep.apply_even(k, state)
-        if not lhs == rhs:
-            return CheckReport(
-                ctx, name, False,
-                f"k={k} on |{label}>: c_{2 * k - 1} gives {_state_text(lhs)}, "
-                f"zeta c_{2 * k} gives {_state_text(rhs)}",
-            )
-    return CheckReport(ctx, name, True)
+def _zeta_mismatch(ctx: AlgebraContext, kept, tables) -> str | None:
+    # The first k, then basis position in the k-th entry of kept, where
+    # c_{2k-1} and zeta c_{2k} differ.
+    for k, positions in enumerate(kept, start=1):
+        odd, even = tables[2 * k - 2], tables[2 * k - 1].scaled(ctx.zeta_exp)
+        if detail := _mismatch(ctx, odd, even, f"c_{2 * k - 1} vs zeta c_{2 * k}", positions):
+            return detail
+    return None
 
 
-def check_ground_identity(ctx: AlgebraContext) -> CheckReport:
-    """c_{2k-1}|0..0> = zeta c_{2k}|0..0> for every k."""
-    ground = rep.ground_state(ctx)
-    label = (0,) * ctx.n
-    return _zeta_identity(ctx, "ground_identity", ((k, label, ground) for k in range(1, ctx.n + 1)))
+def check_ground_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
+    """c_{2k-1}|0..0> = zeta c_{2k}|0..0> for every k: the tables agree at position 0."""
+    body = functools.partial(_zeta_mismatch, ctx, [(0,)] * ctx.n)
+    return _table_check(ctx, "ground_identity", tables, body)
 
 
-def check_projector_identity(ctx: AlgebraContext) -> CheckReport:
+def check_projector_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
     """c_{2k-1} E_k = zeta c_{2k} E_k as operators, on every basis state.
 
-    Both sides are linear, so a basis state that E_k sends to 0 gives 0 = 0;
-    the generators act only on the states E_k keeps.
+    E_k is applied to every basis state, and the two tables are compared at
+    every label that some E_k|a> holds.  Both sides are linear and each table
+    sends a basis state to a single term, so this is the identity whenever
+    each E_k|a> is 0 or a single term.
     """
     states = rep.basis_states(ctx)
-    cases = (
-        (k, digits, rep.apply_projector(k, state))
+    position = {label: j for j, (label, _) in enumerate(states)}
+    kept = (
+        sorted({position[b] for _, a in states for b in rep.apply_projector(k, a).terms})
         for k in range(1, ctx.n + 1)
-        for digits, state in states
     )
-    return _zeta_identity(ctx, "projector_identity", (c for c in cases if c[2].terms))
+    body = functools.partial(_zeta_mismatch, ctx, kept)
+    return _table_check(ctx, "projector_identity", tables, body)
 
 
 def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
@@ -281,19 +289,17 @@ def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
     The closed form on |a_1..a_n> is
     zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>.
     """
-    name = "power_formula"
-    try:
-        tables = _tables(ctx, tables)
-    except rep.NotPhasedPermutationError as exc:
-        return CheckReport(ctx, name, False, str(exc))
-    for k in range(1, ctx.n + 1):
-        power = rep.PhasedPermutation.identity(ctx)
-        for m, closed in enumerate(_odd_power_tables(ctx, k)):
-            what = f"c_{2 * k - 1}^{m} vs its closed form"
-            if detail := _mismatch(ctx, power, closed, what):
-                return CheckReport(ctx, name, False, detail)
-            power = tables[2 * k - 2] @ power
-    return CheckReport(ctx, name, True)
+    def body(tables):
+        for k in range(1, ctx.n + 1):
+            power = rep.PhasedPermutation.identity(ctx)
+            for m, closed in enumerate(_odd_power_tables(ctx, k)):
+                what = f"c_{2 * k - 1}^{m} vs its closed form"
+                if detail := _mismatch(ctx, power, closed, what):
+                    return detail
+                power = tables[2 * k - 2] @ power
+        return None
+
+    return _table_check(ctx, "power_formula", tables, body)
 
 
 def check_homomorphism(
@@ -314,35 +320,33 @@ def check_homomorphism(
     named; ``PhasedPermutation.column`` is called only for the
     counterexample.
     """
-    name = "homomorphism"
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    try:
-        tables = _tables(ctx, tables)
-    except rep.NotPhasedPermutationError as exc:
-        return CheckReport(ctx, name, False, str(exc), seed)
-    rng = random.Random(seed)
-    top = ctx.num_generators
-    labels, basis = zip(*rep.basis_states(ctx))
-    roots = [ctx.omega(k) for k in range(ctx.order)]
-    power = functools.cache(lambda i, e: tables[i - 1] ** e)
-    apply = rep.apply_generator
-    for _ in range(trials):
-        length = rng.randint(0, max_len)
-        word = Word(ctx, tuple(rng.randint(1, top) for _ in range(length)))
-        normal = normal_order(word)
-        table = rep.monomial_table(ctx, power, normal.exps).scaled(normal.phase.root_exponent())
-        states = basis
-        for letter in reversed(word.letters):
-            states = [apply(letter, state) for state in states]
-        # Dict equality runs the exact CycloScalar.__eq__ on every
-        # amplitude that is not the identical shared root.
-        for j, (state, b, f) in enumerate(zip(states, table.perm, table.phase)):
-            if state.terms != {labels[b]: roots[f]}:
-                what = f"word {list(word.letters)} vs its normal form"
-                detail = _differs(what, labels[j], state, table.column(j))
-                return CheckReport(ctx, name, False, detail, seed)
-    return CheckReport(ctx, name, True, None, seed)
+
+    def body(tables):
+        rng = random.Random(seed)
+        top = ctx.num_generators
+        labels, basis = zip(*rep.basis_states(ctx))
+        roots = [ctx.omega(k) for k in range(ctx.order)]
+        power = functools.cache(lambda i, e: tables[i - 1] ** e)
+        apply = rep.apply_generator
+        for _ in range(trials):
+            length = rng.randint(0, max_len)
+            word = Word(ctx, tuple(rng.randint(1, top) for _ in range(length)))
+            normal = normal_order(word)
+            table = rep.monomial_table(ctx, power, normal.exps).scaled(normal.phase.root_exponent())
+            states = basis
+            for letter in reversed(word.letters):
+                states = [apply(letter, state) for state in states]
+            # Dict equality runs the exact CycloScalar.__eq__ on every
+            # amplitude that is not the identical shared root.
+            for j, (state, b, f) in enumerate(zip(states, table.perm, table.phase)):
+                if state.terms != {labels[b]: roots[f]}:
+                    what = f"word {list(word.letters)} vs its normal form"
+                    return _differs(what, labels[j], state, table.column(j))
+        return None
+
+    return _table_check(ctx, "homomorphism", tables, body, seed)
 
 
 ALL_CHECKS = (
@@ -357,10 +361,9 @@ ALL_CHECKS = (
     "homomorphism",
 )
 
-# Checks that run on the generator tables, which run_suite builds once.
-_TABLE_CHECKS = frozenset(
-    ("unitarity", "order", "commutation", "power_formula", "homomorphism")
-)
+# The checks that need no generator tables; run_suite builds the tables once
+# for all the others.
+_TABLELESS_CHECKS = frozenset(("zeta_root", "orthonormal_basis"))
 
 
 def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckReport]:
@@ -373,18 +376,18 @@ def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckR
         if unknown:
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
     tables = None
-    if _TABLE_CHECKS.intersection(selection):
+    if not _TABLELESS_CHECKS.issuperset(selection):
         # On failure each table check reads the tables again and reports the column.
         with contextlib.suppress(rep.NotPhasedPermutationError):
-            tables = _tables(ctx, None)
+            tables = rep.generator_tables(ctx)
     # Each check is looked up when it runs, so a wrapper installed later is called.
     runners = {
         "zeta_root": lambda: check_zeta_root(ctx.N, ctx.zeta_exp),
         "unitarity": lambda: check_unitarity(ctx, tables),
         "order": lambda: check_order(ctx, tables),
         "commutation": lambda: check_commutation(ctx, tables),
-        "ground_identity": lambda: check_ground_identity(ctx),
-        "projector_identity": lambda: check_projector_identity(ctx),
+        "ground_identity": lambda: check_ground_identity(ctx, tables),
+        "projector_identity": lambda: check_projector_identity(ctx, tables),
         "orthonormal_basis": lambda: check_orthonormal_basis(ctx),
         "power_formula": lambda: check_power_formula(ctx, tables),
         "homomorphism": lambda: check_homomorphism(
