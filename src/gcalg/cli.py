@@ -26,6 +26,11 @@ the fixed layout that ``json.dumps`` gives it, with no encoder built per
 cell; a CSV field is quoted by ``csv`` once, and a row is one comma join.
 So ``gram --N 2 --n 12 --format csv`` writes its 100.7 MB in about 0.6-0.9 s
 (whole process, Python 3.11, 2-vCPU host).
+
+``eval --format json`` is written from fixed layouts too, byte for byte as
+``json.dumps(payload, indent=2)`` writes it: the element, state and scalar
+payloads and the matrix cells share one scalar writer, given the depth at
+which the scalar sits.
 """
 
 from __future__ import annotations
@@ -156,8 +161,14 @@ def _approx(value) -> str:
     return f"{z.real:.12g},{z.imag:.12g}"
 
 
-def _json_cell(value) -> str:
-    """One cell as ``json.dumps(matrix, indent=2)`` writes it, two levels deep.
+@functools.cache
+def _breaks(level: int) -> tuple[str, ...]:
+    # The line breaks that json.dumps(..., indent=2) writes 0-3 levels below ``level``.
+    return tuple("\n" + "  " * (level + d) for d in range(4))
+
+
+def _json_scalar(value, level: int) -> str:
+    """A scalar as ``json.dumps(..., indent=2)`` writes it ``level`` containers deep.
 
     The layout is the one that ``json.dumps`` gives ``CycloScalar.to_json``;
     the leaves are written by the json module's own rules: ints, strings by
@@ -165,18 +176,51 @@ def _json_cell(value) -> str:
     which ``_check_printable`` keeps finite.
     """
     z = value.to_complex()
-    coeffs = ",".join(f"\n        [\n          {k},\n          {_json_string(str(v))}\n        ]"
+    s0, s1, s2, s3 = _breaks(level)
+    coeffs = ",".join(f"{s2}[{s3}{k},{s3}{_json_string(str(v))}{s2}]"
                       for k, v in sorted(value.coeffs.items()))
-    coeffs = f"[{coeffs}\n      ]" if coeffs else "[]"
-    return (f'{{\n      "order": {value.order},\n      "coeffs": {coeffs},\n      "approx": {{'
-            f'\n        "re": {z.real!r},\n        "im": {z.imag!r}\n      }}\n    }}')
+    coeffs = f"[{coeffs}{s1}]" if coeffs else "[]"
+    return (f'{{{s1}"order": {value.order},{s1}"coeffs": {coeffs},{s1}"approx": {{'
+            f'{s2}"re": {z.real!r},{s2}"im": {z.imag!r}{s1}}}{s0}}}')
+
+
+def _json_terms(vector, label: str, name: str, level: int) -> str:
+    """``vector``'s sorted terms as a JSON list, ``level`` containers deep.
+
+    Each term is an object ``{label: [ints], name: scalar}``, laid out as
+    ``json.dumps(..., indent=2)`` writes it; no key is an empty tuple.
+    """
+    s0, s1, s2, s3 = _breaks(level)
+    between = "," + s3
+    terms = ",".join(f'{s1}{{{s2}"{label}": [{s3}{between.join(map(str, key))}{s2}],'
+                     f'{s2}"{name}": {_json_scalar(scalar, level + 2)}{s1}}}'
+                     for key, scalar in sorted(vector.terms.items()))
+    return f"[{terms}{s0}]" if terms else "[]"
+
+
+def _eval_json(kind: str, canonical: str, value) -> str:
+    """The eval payload as ``json.dumps(payload, indent=2)`` writes it.
+
+    The payload holds ``kind``, ``canonical`` and then the value: a scalar's
+    ``to_json``, a state's ``rep.state_to_json`` or an element's terms.
+    """
+    head = f'{{\n  "kind": "{kind}",\n  "canonical": {_json_string(canonical)},\n  '
+    if kind == "scalar":
+        body = f'"scalar": {_json_scalar(value, 1)}'
+    elif kind == "state":
+        ctx = value.ctx
+        body = (f'"state": {{\n    "N": {ctx.N},\n    "n": {ctx.n},\n    '
+                f'"terms": {_json_terms(value, "index", "amp", 2)}\n  }}')
+    else:
+        body = f'"terms": {_json_terms(value, "exps", "coeff", 1)}'
+    return head + body + "\n}"
 
 
 def _matrix_chunks(rows, fmt: str, ctx):
     """Yield a dense export row by row, byte for byte as the per-cell writers give it.
 
     ``rows`` are shaped as ``rep.dense_matrix`` returns them.  JSON is
-    ``json.dumps(cells, indent=2)``, each cell written by ``_json_cell``;
+    ``json.dumps(cells, indent=2)``, each cell written by ``_json_scalar``;
     CSV is ``csv.writer`` over ``_approx``, each cell's field quoted by a
     one-field ``writerow`` and each row joined by commas; text is
     tab-joined ``print_canonical``.  The zero cell is encoded
@@ -188,7 +232,7 @@ def _matrix_chunks(rows, fmt: str, ctx):
     """
     opening = between = closing = ""
     if fmt == "json":
-        encode = _json_cell
+        encode = lambda cell: _json_scalar(cell, 2)
         line = lambda cells: "[\n    " + ",\n    ".join(cells) + "\n  ]"
         opening, between, closing = "[\n  ", ",\n  ", "\n]\n"
     elif fmt == "csv":
@@ -258,17 +302,7 @@ def cmd_eval(args, parser) -> int:
     _check_printable([value] if kind == "scalar" else value.terms.values(), args.format)
     canonical = expr.print_canonical(value, ctx)
     if args.format == "json":
-        payload = {"kind": kind, "canonical": canonical}
-        if kind == "scalar":
-            payload["scalar"] = value.to_json()
-        elif kind == "state":
-            payload["state"] = rep.state_to_json(value)
-        else:
-            payload["terms"] = [
-                {"exps": list(exps), "coeff": coeff.to_json()}
-                for exps, coeff in sorted(value.terms.items())
-            ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _eval_json(kind, canonical, value) + "\n"
     else:
         text = canonical + "\n"
     return _write(args, [text])

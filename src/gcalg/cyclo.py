@@ -52,16 +52,19 @@ class ContextMismatchError(ValueError):
 def power_by_squaring(base, k: int, one, mul=operator.mul):
     """base^k for an int k >= 0 by square-and-multiply; ``one`` is base^0.
 
-    Products are formed as ``mul(out, base)`` and ``mul(base, base)``.
+    Products are formed as ``mul(out, base)`` and ``mul(base, base)``.  The
+    lowest set bit of k starts ``out`` at a power of base, so no product
+    has ``one`` as a factor, and ``one`` is returned only for k = 0: k >= 1
+    takes k.bit_length() - 1 squarings and k.bit_count() - 1 other products.
     """
-    out = one
+    out = None
     while k:
         if k & 1:
-            out = mul(out, base)
+            out = base if out is None else mul(out, base)
         k >>= 1
         if k:
             base = mul(base, base)
-    return out
+    return one if out is None else out
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:

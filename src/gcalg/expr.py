@@ -56,8 +56,10 @@ MAX_PAREN_DEPTH = 200
 # elements with s and t terms, whose coefficients store e and f entries in
 # all, merges s * t pairs of 2n-long exponent tuples and multiplies e * f
 # pairs of entries, so it is refused before it is formed when
-# s * t * 2n + e * f exceeds this budget.  A product near the budget takes
-# under a second; the benchmark's eval products stay near 500.
+# s * t * 2n + e * f exceeds this budget.  A chain or a power starts from
+# its first factor, so the identity is never a factor of a checked product.
+# A product near the budget takes under a second; the benchmark's eval
+# products stay near 500.
 MAX_PRODUCT_WORK = 2**16
 
 # Most letters an element may apply to a ket in a state or bra-ket
@@ -148,7 +150,9 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", text, i)
-    tokens.append(("EOF", "", size))
+    # Two EOF tokens: the parser never moves past the first, so a peek one
+    # token ahead is always in range.
+    tokens += [("EOF", "", size)] * 2
     return tokens
 
 
@@ -160,7 +164,7 @@ class _Parser:
         self.depth = 0
 
     def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -423,8 +427,8 @@ def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
             out = _power(out, op.value) if op.kind == "pow" else out.adjoint()
         return out
     if kind == "product":
-        out = AlgebraElement.one(ctx)
-        for child in node.children:
+        out = _eval_operator(node.children[0], ctx)
+        for child in node.children[1:]:
             out = _printable_product(out, _eval_operator(child, ctx))
         return out
     if kind == "sum":

@@ -181,10 +181,12 @@ class AlgebraElement(ExactVector):
         self._check_ctx(other)
         ctx = self.ctx
         N = ctx.N
+        # q^-cross = w^(-2 cross), so rotating ca * cb gives the stored map
+        # that multiplying it by ctx.q(-cross) would, with one multiply fewer.
         return AlgebraElement._raw(ctx, sum_terms(
             (
-                tuple((a + b) % N for a, b in zip(ea, eb)),
-                ca * cb * ctx.q(-_cross_inversions(ea, eb)),
+                tuple([(a + b) % N for a, b in zip(ea, eb)]),
+                (ca * cb).times_root(-2 * _cross_inversions(ea, eb)),
             )
             for ea, ca in self.terms.items()
             for eb, cb in other.terms.items()

@@ -19,7 +19,8 @@ from gcalg import (
     ground_state,
     normal_order,
 )
-from gcalg.cyclo import cyclotomic_polynomial
+from gcalg import expr, symbolic
+from gcalg.cyclo import cyclotomic_polynomial, sum_terms
 
 
 def random_scalar(rng, ctx: AlgebraContext, terms=(1, 2)) -> CycloScalar:
@@ -179,3 +180,47 @@ def ordered_basis_vector(ctx: AlgebraContext, digits) -> QuditState:
         for _ in range(digits[pos - 1]):
             state = apply_even(pos, state)
     return state
+
+
+def two_multiply_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """x * y with each term pair's coefficient formed as ca * cb * q^-cross: two multiplies."""
+    ctx = x.ctx
+    return AlgebraElement._raw(ctx, sum_terms(
+        (tuple((a + b) % ctx.N for a, b in zip(ea, eb)),
+         ca * cb * ctx.q(-symbolic._cross_inversions(ea, eb)))
+        for ea, ca in x.terms.items()
+        for eb, cb in y.terms.items()
+    ))
+
+
+def identity_fold_eval(node, ctx: AlgebraContext) -> AlgebraElement:
+    """An operator expression evaluated with every chain and power starting from
+    ``AlgebraElement.one``, each product by ``two_multiply_product``.
+
+    Its stored form is the one ``eval_element`` must keep: key order,
+    coefficient maps and coefficient types.  Leaves are read by ``eval_element``.
+    """
+    kind = node.kind
+    if kind == "dagger":
+        return identity_fold_eval(node.children[0], ctx).adjoint()
+    if kind == "pow":
+        base = identity_fold_eval(node.children[0], ctx)
+        out, k = AlgebraElement.one(ctx), abs(node.value)
+        while k:
+            if k & 1:
+                out = two_multiply_product(out, base)
+            k >>= 1
+            if k:
+                base = two_multiply_product(base, base)
+        return out.adjoint() if node.value < 0 else out
+    if kind == "product":
+        out = AlgebraElement.one(ctx)
+        for child in node.children:
+            out = two_multiply_product(out, identity_fold_eval(child, ctx))
+        return out
+    if kind == "sum":
+        out = AlgebraElement.zero(ctx)
+        for child in node.children:
+            out = out + identity_fold_eval(child, ctx)
+        return out
+    return expr.eval_element(node, ctx)

@@ -638,7 +638,7 @@ def test_gram_computes_only_the_cells_whose_supports_meet(monkeypatch, capsys):
 
 def counting_encoder(monkeypatch, fmt):
     """Wrap the encoder of ``fmt`` and return the list of cells it is called on."""
-    module, name = {"json": (cli, "_json_cell"), "csv": (cli, "_approx"),
+    module, name = {"json": (cli, "_json_scalar"), "csv": (cli, "_approx"),
                     "text": (expr, "print_canonical")}[fmt]
     encoded = []
     original = getattr(module, name)
@@ -731,16 +731,65 @@ def json_cells(order):
 
 
 def test_json_cell_matches_json_dumps():
+    # Levels 1-4: an eval scalar, a matrix cell, an element's coefficient, a state's amplitude.
     orders = sorted({AlgebraContext(N, 1).order for N in range(2, MAX_N + 1)})
     assert orders[0] == 4 and orders[-1] == 2 * MAX_N
     for order in orders:
         for cell in json_cells(order):
             cli._check_printable([cell], "json")
-            expected = json.dumps(cell.to_json(), indent=2).replace("\n", "\n    ")
-            assert cli._json_cell(cell) == expected
+            for level in range(1, 5):
+                expected = json.dumps(cell.to_json(), indent=2).replace("\n", "\n" + "  " * level)
+                assert cli._json_scalar(cell, level) == expected
     exponent, negative_zero = json_cells(4)[6], json_cells(4)[-1]
-    assert "e-20" in cli._json_cell(exponent)
-    assert '"re": -0.0' in cli._json_cell(negative_zero)
+    assert "e-20" in cli._json_scalar(exponent, 2)
+    assert '"re": -0.0' in cli._json_scalar(negative_zero, 2)
+
+
+def eval_payload_oracle(argv) -> str:
+    """``eval --format json`` output as ``json.dumps(payload, indent=2)`` writes it."""
+    args = cli.build_parser().parse_args(["eval", *argv])
+    ctx = AlgebraContext.from_sign(args.N, args.n, args.zeta_sign)
+    ast = parse(args.expression)
+    if ast.kind == "sandwich":
+        kind, value = "scalar", expr.eval_scalar(ast, ctx)
+    elif ast.kind == "apply":
+        kind, value = "state", expr.eval_state(ast, ctx)
+    else:
+        kind, value = "element", eval_element(ast, ctx)
+    payload = {"kind": kind, "canonical": expr.print_canonical(value, ctx)}
+    if kind == "scalar":
+        payload["scalar"] = value.to_json()
+    elif kind == "state":
+        payload["state"] = rep.state_to_json(value)
+    else:
+        payload["terms"] = [{"exps": list(exps), "coeff": coeff.to_json()}
+                            for exps, coeff in sorted(value.terms.items())]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv,kind,fragment", [
+    (["--N", "3", "--n", "1", "c[1] - c[1]"], "element", '"terms": []'),
+    (["--N", "3", "--n", "2", "0 |0,1>"], "state", '"terms": []'),
+    (["--N", "3", "--n", "1", "<0| c[1] |0>"], "scalar", '"coeffs": []'),
+    (["--N", "5", "--n", "1", "-123/45 c[1] + 6789/10 q c[2]^3 - 7"], "element", '"-41/15"'),
+    (["--N", "4", "--n", "3", "--zeta-sign", "-", "(1 + q - 2/3 zeta) c[1] c[6]^3 + c[4]'"],
+     "element", '"-2/3"'),
+    (["--N", "3", "--n", "3", "(c[2] + 2/3 q c[4] - (5 + q^2) c[6]) |0,1,2>"], "state",
+     '"-5"'),
+    (["--N", "2", "--n", "1", "c[2] |1>"], "state", '"index"'),
+    (["--N", "6", "--n", "1", "<1| (1 + q + 2 zeta) c[2] |0>"], "scalar", '"2"'),
+    (["--N", "3", "--n", "1", "<0| -12345/678 - q |0>"], "scalar", '"-4115/226"'),
+    (["--N", "2", "--n", "1", "1/100000000000000000000 c[1]"], "element", "e-20"),
+    (["--N", "2", "--n", "3", "(c[1] + c[3] c[5])^3"], "element", '"exps"'),
+])
+def test_eval_json_matches_json_dumps(argv, kind, fragment, capsys):
+    # Zero values, negative and multi-digit Fractions, multi-term scalars,
+    # n = 1 and n = 3, and a float in exponent form.
+    code, out, err = run(["eval", "--format", "json", *argv], capsys)
+    assert (code, err) == (0, "")
+    assert out == eval_payload_oracle(argv)
+    assert json.loads(out)["kind"] == kind
+    assert fragment in out
 
 
 @pytest.mark.parametrize("command", [["gram"], ["matrix", "c[1]+c[2]"]])

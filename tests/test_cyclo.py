@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcalg import run_suite
+from gcalg import AlgebraElement, PhasedPermutation, generator_tables, run_suite
 from gcalg.cli import MAX_N
 from gcalg.cyclo import (
     AlgebraContext,
@@ -17,8 +17,9 @@ from gcalg.cyclo import (
     _ROOTS,
     admissible_zeta_exps,
     cyclotomic_polynomial,
+    power_by_squaring,
 )
-from helpers import literal_is_zero, scalar_from_json
+from helpers import literal_is_zero, random_element, random_scalar, scalar_from_json
 
 
 def euler_phi(m):
@@ -245,6 +246,38 @@ class TestScalarArithmetic:
     def test_pow_rejects_negative(self):
         with pytest.raises(ValueError):
             CycloScalar.root(6, 1) ** -1
+
+
+class TestPowerBySquaring:
+    def test_no_product_has_the_identity_as_a_factor(self):
+        one = object()  # no operand may reach mul
+        assert power_by_squaring(3, 0, one) is one
+        for k in range(1, 300):
+            calls = []
+
+            def mul(a, b):
+                assert a is not one and b is not one
+                calls.append((a, b))
+                return a * b
+
+            assert power_by_squaring(3, k, one, mul) == 3**k
+            assert len(calls) == k.bit_length() + k.bit_count() - 2
+
+    def test_powers_equal_the_repeated_product(self):
+        rng = random.Random(18)
+        ctx = AlgebraContext(3, 2)
+        table = generator_tables(ctx)[0] @ generator_tables(ctx)[3]
+        scalar = random_scalar(rng, ctx, (2, 3))
+        element = random_element(rng, ctx, 3)
+        assert len(scalar.coeffs) > 1 and len(element.terms) > 1
+        cases = [(table, PhasedPermutation.identity(ctx), lambda a, b: a @ b),
+                 (scalar, ctx.one(), lambda a, b: a * b),
+                 (element, AlgebraElement.one(ctx), lambda a, b: a * b)]
+        for base, one, mul in cases:
+            literal = one
+            for k in range(10):
+                assert base**k == literal
+                literal = mul(literal, base)
 
 
 def _general_product(x, y):

@@ -1,9 +1,11 @@
 """Tests for the expression parser, evaluator, and canonical printer."""
 
 import functools
+import importlib.util
 import operator
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,17 @@ from gcalg import (
     print_canonical,
     projector_element,
 )
-from helpers import random_element, random_state
+from helpers import identity_fold_eval, random_element, random_state
+
+
+@functools.cache
+def _load_workloads():
+    # The benchmark's op lists, read from perfbench/workloads.py.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up in sys.modules
+    return module
 
 
 class TestParsing:
@@ -134,6 +146,15 @@ class TestParsing:
             parse(text)
         assert 0 <= info.value.pos <= len(text)
         assert info.value.pos == text.index(literal)
+
+    @pytest.mark.parametrize("text,line,column", [
+        ("c[1] *", 1, 6), ("c[1", 1, 4), ("(c[1]", 1, 6), ("c[1]^", 1, 6), ("<0|", 1, 4),
+    ])
+    def test_end_of_input_errors_point_past_the_text(self, text, line, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value).startswith(f"syntax error at {line}:{column}: ")
 
     def test_non_ascii_digits_are_rejected(self):
         with pytest.raises(ParseError) as info:
@@ -262,6 +283,27 @@ class TestSums:
             assert _stored_terms(got) == _stored_terms(fold)
             cancelled += len(fold.terms) < len({k for part in parts for k in part.terms})
         assert cancelled > 10
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_eval_matches_the_identity_fold(self, seed):
+        # Chains and powers start from their first factor, and each term
+        # pair's coefficient is one multiply and a root rotation; the stored
+        # form must be the one the identity fold with two multiplies gives.
+        workloads = _load_workloads()
+        operators = 0
+        for op in workloads.build("algebra_eval", seed):
+            ctx = AlgebraContext.from_sign(op.N, op.n, op.sign)
+            ast = parse(workloads.render(op.tree))
+            if ast.kind == "apply":
+                ast = ast.children[0]
+            elif ast.kind == "sandwich":
+                ast = ast.children[1]
+            got = eval_element(ast, ctx)
+            assert _stored_terms(got) == _stored_terms(identity_fold_eval(ast, ctx))
+            operators += 1
+        assert operators == 240
 
 
 class TestPrinting:
