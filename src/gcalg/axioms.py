@@ -8,27 +8,29 @@ state, so operator identities are checked on its table
 exponent per basis state, read off ``rep.apply_generator`` on every basis
 state.  Products, powers and adjoints of tables are integer arithmetic, and
 two operators agree iff their tables are equal; a failing identity names the
-first basis state where the two sides differ.  Seven checks are table
-checks (unitarity, order, commutation, the ground-state and projector
-identities, power formula, homomorphism): each takes the 2n generator tables
-as an optional last argument and reads them off the representation
-(``rep.generator_tables``) when it is omitted; ``run_suite`` builds them
-once per call, only when a selected check needs them, and passes them to
-each of those checks.  The tables change no result: a generator that is not
-such a table fails every table check with the offending basis state as
-counterexample.  The ground-state identity compares the tables of c_{2k-1}
-and zeta c_{2k} at |0..0>; the projector identity applies E_k to every basis
-state and compares them at each label E_k keeps.  The homomorphism check
-keeps a sparse oracle: each random word is applied letter by letter to
-sparse basis states, in lockstep (each letter, through
-``rep.apply_generator``, acts on the images of all basis states before the
-next letter does), and each image is compared, as a map from label to
-amplitude, with the table of the word's normal form (``rep.monomial_table``,
-the builder ``gcalg matrix`` reads too); the first basis state in basis
-order whose image differs is named, and a table column is built only to
-write that counterexample.  The power formula's closed form reads each
-basis state's digit a_k and head sum once per k.  Orthonormality compares
-``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the identity.
+first basis state where the two sides differ.  Counterexamples write exact
+values as ``expr.print_canonical`` does, so ``gcalg eval`` reads each side.
+Seven checks are table checks (unitarity, order, commutation, the
+ground-state and projector identities, power formula, homomorphism): each
+takes the 2n generator tables as an optional last argument and reads them
+off the representation (``rep.generator_tables``) when it is omitted;
+``run_suite`` builds them once per call, only when a selected check needs
+them, and passes them to each of those checks.  The tables change no result:
+a generator that is not such a table fails every table check with the
+offending basis state as counterexample.  The ground-state identity compares
+the tables of c_{2k-1} and zeta c_{2k} at |0..0>; the projector identity
+applies E_k to every basis state and compares them at each label E_k
+keeps.  The homomorphism check keeps a sparse oracle: each random word is
+applied letter by letter to sparse basis states, in lockstep (each letter,
+through ``rep.apply_generator``, acts on the images of all basis states
+before the next letter does), and each image is compared, as a map from
+label to amplitude, with the table of the word's normal form
+(``rep.monomial_table``, the builder ``gcalg matrix`` reads too); the first
+basis state in basis order whose image differs is named, and a table column
+is built only to write that counterexample.  The power formula's closed form
+reads each basis state's digit a_k and head sum once per k.  Orthonormality
+compares ``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the
+identity.
 
 Checked, for every context:
 
@@ -66,6 +68,7 @@ from dataclasses import dataclass
 
 from . import rep
 from .cyclo import AlgebraContext
+from .expr import print_canonical
 from .symbolic import Word, normal_order
 
 __all__ = [
@@ -105,16 +108,8 @@ class CheckReport:
         return out
 
 
-def _state_text(state: rep.QuditState) -> str:
-    if not state.amps:
-        return "0"
-    return " + ".join(
-        f"({amp})|{','.join(map(str, digits))}>" for digits, amp in sorted(state.amps.items())
-    )
-
-
 def _differs(what: str, label, lhs: rep.QuditState, rhs: rep.QuditState) -> str:
-    return f"{what} on |{label}>: {_state_text(lhs)} differs from {_state_text(rhs)}"
+    return f"{what} on |{label}>: {print_canonical(lhs)} differs from {print_canonical(rhs)}"
 
 
 def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str | None:
@@ -149,21 +144,17 @@ def _table_check(ctx: AlgebraContext, name: str, tables, body, seed=None) -> Che
 def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
     """zeta^2 = q and zeta^(N^2) = 1; for odd N the plus root must fail."""
     ctx = AlgebraContext(N, 1, zeta_exp)
-    name = "zeta_root"
     zeta = ctx.zeta()
-    if not zeta * zeta == ctx.q():
-        return CheckReport(ctx, name, False, f"zeta^2 = {zeta * zeta} differs from q = {ctx.q()}")
-    power = zeta ** (N * N)
-    if not power == 1:
-        return CheckReport(ctx, name, False, f"zeta^(N^2) = {power} differs from 1")
-    if N % 2:
-        rejected = ctx.omega(1) ** (N * N)
-        if not rejected == -1:
-            return CheckReport(
-                ctx, name, False,
-                f"rejected root (+exp(i*pi/N)) has N^2-th power {rejected}, expected -1",
-            )
-    return CheckReport(ctx, name, True)
+    square, power = zeta * zeta, zeta ** (N * N)
+    detail = None
+    if not square == ctx.q():
+        detail = f"zeta^2 = {print_canonical(square, ctx)} differs from q"
+    elif not power == 1:
+        detail = f"zeta^(N^2) = {print_canonical(power, ctx)} differs from 1"
+    elif N % 2 and not (rejected := ctx.omega(1) ** (N * N)) == -1:
+        text = print_canonical(rejected, ctx)
+        detail = f"rejected root (+exp(i*pi/N)) has N^2-th power {text}, expected -1"
+    return CheckReport(ctx, "zeta_root", detail is None, detail)
 
 
 def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -259,8 +250,8 @@ def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
             if not cell == expected:
                 return CheckReport(
                     ctx, name, False,
-                    f"Gram[{rep.basis_label(ctx, a)}][{rep.basis_label(ctx, b)}] = {cell}, "
-                    f"expected {expected}",
+                    f"Gram[{rep.basis_label(ctx, a)}][{rep.basis_label(ctx, b)}] = "
+                    f"{print_canonical(cell, ctx)}, expected {expected}",
                 )
     return CheckReport(ctx, name, True)
 

@@ -359,19 +359,6 @@ class CycloScalar:
         body = ", ".join(f"{k}: {v}" for k, v in sorted(self.coeffs.items()))
         return f"CycloScalar({self.order}, {{{body}}})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, v in sorted(self.coeffs.items()):
-            if k == 0:
-                parts.append(str(v))
-            elif v == 1:
-                parts.append(f"w^{k}")
-            else:
-                parts.append(f"{v}*w^{k}")
-        return " + ".join(parts)
-
 
 def sum_terms(pairs) -> dict:
     """Sum (key, nonzero scalar) contributions into a map with no zero values.

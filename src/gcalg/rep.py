@@ -378,8 +378,11 @@ def generator_tables(ctx: AlgebraContext, indices=None) -> list[PhasedPermutatio
                 )
             k = amp.root_exponent()
             if k is None:
+                from .expr import print_canonical  # expr imports rep at module level
+
                 raise NotPhasedPermutationError(
-                    f"c_{i}|{label}> has amplitude {amp}, expected a root of unity"
+                    f"c_{i}|{label}> has amplitude {print_canonical(amp, ctx)}, "
+                    "expected a root of unity"
                 )
             perm.append(j)
             phase.append(k)

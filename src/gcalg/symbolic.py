@@ -246,9 +246,10 @@ def projector_element(ctx: AlgebraContext, k: int) -> AlgebraElement:
     exps[2 * k - 2] = 1
     exps[2 * k - 1] = ctx.N - 1
     u = NormalMonomial(ctx, ctx.zeta(-1) * ctx.q(1), tuple(exps))
+    # The N powers of u have distinct exponent vectors, so no terms merge.
     power = NormalMonomial.identity(ctx)
-    total = AlgebraElement.zero(ctx)
+    terms = {}
     for _ in range(ctx.N):
-        total = total + power.to_element()
+        terms[power.exps] = power.phase
         power = power * u
-    return total._scaled(Fraction(1, ctx.N))
+    return AlgebraElement._raw(ctx, terms)._scaled(Fraction(1, ctx.N))

@@ -1,6 +1,7 @@
 """Tests for the identity-verification suite."""
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,9 @@ from gcalg import (
     check_homomorphism,
     check_unitarity,
     check_zeta_root,
+    eval_state,
+    parse,
+    print_canonical,
     run_suite,
     suite_report,
 )
@@ -112,6 +116,11 @@ class TestFailureReporting:
         assert not unitarity.passed
         assert "c_2|(0, 0)> has amplitude 2, expected a root of unity" in unitarity.counterexample
         assert not check_unitarity(ctx).passed
+        monkeypatch.undo()
+        faults.inject(monkeypatch, "doubled_raise_digit")
+        assert check_unitarity(ctx).counterexample == (
+            "c_1|(0, 0)> has amplitude 2 * q^2, expected a root of unity"
+        )
 
     def test_fault_patched_after_a_pass_is_caught(self, monkeypatch):
         # Tables are built per run_suite call, so a context that passed once
@@ -194,7 +203,7 @@ class TestOneBodyPerCheck:
         reports = {r.name: r for r in run_suite(ctx)}
         assert {name for name, r in reports.items() if not r.passed} == {"projector_identity"}
         assert reports["projector_identity"].counterexample == (
-            "c_1 vs zeta c_2 on |(1, 0)>: (1)|2,0> differs from (w^4)|2,0>"
+            "c_1 vs zeta c_2 on |(1, 0)>: |2,0> differs from q^2 * |2,0>"
         )
 
     def test_projector_identity_acts_only_on_kept_states(self, monkeypatch):
@@ -274,10 +283,10 @@ class TestOneBodyPerCheck:
 
     @pytest.mark.parametrize("seed,expected", [
         (0, "word [4, 1, 3, 4, 4, 3] vs its normal form on |(0, 0)>: "
-            "(w^5)|1,2> differs from (w^4)|1,2>"),
-        (2, "word [1] vs its normal form on |(1, 1)>: (w^1)|2,1> differs from (1)|2,1>"),
+            "-1 * q * |1,2> differs from q^2 * |1,2>"),
+        (2, "word [1] vs its normal form on |(1, 1)>: -1 * q^2 * |2,1> differs from |2,1>"),
         (9, "word [3, 3, 2, 2, 1, 3, 4] vs its normal form on |(0, 2)>: "
-            "(w^5)|0,0> differs from (w^4)|0,0>"),
+            "-1 * q * |0,0> differs from q^2 * |0,0>"),
     ])
     def test_homomorphism_counterexample_names_the_first_failing_basis_state(
         self, seed, expected, monkeypatch
@@ -302,9 +311,9 @@ class TestOneBodyPerCheck:
         ctx = AlgebraContext(3, 2)
         faults.inject(monkeypatch, "odd_sign_flip")
         reports = {r.name: r.counterexample for r in run_suite(ctx)}
-        assert reports["order"] == "c_1^N vs 1 on |(0, 0)>: (w^3)|0,0> differs from (1)|0,0>"
+        assert reports["order"] == "c_1^N vs 1 on |(0, 0)>: -1 * |0,0> differs from |0,0>"
         assert reports["ground_identity"] == (
-            "c_1 vs zeta c_2 on |(0, 0)>: (w^1)|1,0> differs from (w^4)|1,0>"
+            "c_1 vs zeta c_2 on |(0, 0)>: -1 * q^2 * |1,0> differs from q^2 * |1,0>"
         )
         assert reports["unitarity"].startswith("c_1^(N-1) vs c_1^dagger on |(0, 0)>: ")
         assert reports["power_formula"].startswith("c_1^1 vs its closed form on |(0, 0)>: ")
@@ -350,3 +359,25 @@ class TestFaultCatalogue:
             assert passed["order"] or not passed["unitarity"], fault
             if keeps_ground:
                 assert passed["ground_identity"] or not passed["projector_identity"], fault
+
+    @pytest.mark.parametrize("N,n,zeta_exp", SUITE_CONTEXTS)
+    def test_counterexamples_replay_through_eval(self, N, n, zeta_exp, monkeypatch):
+        # Each side of "... on |label>: X differs from Y" is a state in the
+        # expression language: it evaluates, prints back as itself, and the
+        # two sides differ.  The sides are replayed after the fault is
+        # undone, since a state of several terms prints as an element
+        # applied to Omega.
+        ctx = AlgebraContext(N, n, zeta_exp)
+        details = []
+        for fault in faults.FAULTS:
+            with monkeypatch.context() as patch:
+                faults.inject(patch, fault)
+                details += [r.counterexample for r in run_suite(ctx) if not r.passed]
+        witnesses = [detail for detail in details if " differs from " in detail]
+        assert witnesses
+        for detail in witnesses:
+            match = re.fullmatch(r"[^>]* on \|\([0-9, ]*\)>: (.*) differs from (.*)", detail)
+            assert match, detail
+            states = [eval_state(parse(side), ctx) for side in match.groups()]
+            assert [print_canonical(state) for state in states] == list(match.groups())
+            assert states[0] != states[1], detail
