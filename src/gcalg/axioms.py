@@ -27,10 +27,12 @@ before the next letter does), and each image is compared, as a map from
 label to amplitude, with the table of the word's normal form
 (``rep.monomial_table``, the builder ``gcalg matrix`` reads too); the first
 basis state in basis order whose image differs is named, and a table column
-is built only to write that counterexample.  The power formula's closed form
-reads each basis state's digit a_k and head sum once per k.  Orthonormality
-compares ``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the
-identity.
+is built only to write that counterexample.  ``normal_order`` counts swaps
+with the rule that element products use, so this check also checks the
+product rule that ``gcalg eval`` multiplies with.  The power formula's
+closed form reads each basis state's digit a_k and head sum once per k.
+Orthonormality compares ``rep.gram``, the Gram matrix that ``gcalg gram``
+writes, with the identity.
 
 Checked, for every context:
 

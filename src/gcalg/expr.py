@@ -111,10 +111,9 @@ def check_digit_limit(values) -> None:
 
 @dataclass
 class Node:
-    """AST node; ``span`` is the (start, end) character range in the source."""
+    """AST node."""
 
     kind: str
-    span: tuple[int, int]
     value: object = None
     children: tuple[Node, ...] = field(default=())
 
@@ -205,7 +204,7 @@ class _Parser:
 
     # atom := "c[" uint "]" | "E[" uint "]" | "zeta" | "q" | rational | "(" expr ")"
     def atom(self) -> Node:
-        kind, textv, start = self.peek()
+        kind, textv, _ = self.peek()
         if kind == "NUMBER" or kind == "-":
             return self.rational()
         if kind == "NAME":
@@ -213,15 +212,14 @@ class _Parser:
                 self.next()
                 self.expect("[", "'[' after the generator name")
                 index = self._uint()
-                end_tok = self.expect("]", "']'")
-                node_kind = "gen" if textv == "c" else "proj"
-                return Node(node_kind, (start, end_tok[2] + 1), index)
+                self.expect("]", "']'")
+                return Node("gen" if textv == "c" else "proj", index)
             if textv == "zeta":
                 self.next()
-                return Node("zeta", (start, start + len(textv)))
+                return Node("zeta")
             if textv == "q":
                 self.next()
-                return Node("q", (start, start + len(textv)))
+                return Node("q")
             self.error(f"unknown name {textv!r}")
         if kind == "(":
             if self.depth == MAX_PAREN_DEPTH:
@@ -230,21 +228,17 @@ class _Parser:
             self.depth += 1
             inner = self.sum()
             self.depth -= 1
-            end_tok = self.expect(")", "')'")
-            inner.span = (start, end_tok[2] + 1)
+            self.expect(")", "')'")
             return inner
         self.error("expected an atom (c[i], E[k], zeta, q, a rational, or '(')")
 
     # rational := int [ "/" uint ]
     def rational(self) -> Node:
-        start = self.peek()[2]
         negative = False
         if self.peek()[0] == "-":
             negative = True
             self.next()
-        tok = self.expect("NUMBER", "an integer")
-        numerator = self._int(tok)
-        end = tok[2] + len(tok[1])
+        numerator = self._int(self.expect("NUMBER", "an integer"))
         denominator = 1
         if self.peek()[0] == "/":
             self.next()
@@ -252,29 +246,24 @@ class _Parser:
             denominator = self._int(dtok)
             if denominator == 0:
                 raise ParseError("zero denominator", self.text, dtok[2])
-            end = dtok[2] + len(dtok[1])
-        value = Fraction(-numerator if negative else numerator, denominator)
-        return Node("rational", (start, end), value)
+        return Node("rational", Fraction(-numerator if negative else numerator, denominator))
 
     # post := atom { "^" int | "'" }
     def post(self) -> Node:
         node = self.atom()
         while True:
-            kind, _, pos = self.peek()
+            kind = self.peek()[0]
             if kind == "^":
                 self.next()
                 negative = False
                 if self.peek()[0] == "-":
                     negative = True
                     self.next()
-                tok = self.expect("NUMBER", "an integer exponent")
-                exponent = self._int(tok)
-                if negative:
-                    exponent = -exponent
-                node = Node("pow", (node.span[0], tok[2] + len(tok[1])), exponent, (node,))
+                exponent = self._int(self.expect("NUMBER", "an integer exponent"))
+                node = Node("pow", -exponent if negative else exponent, (node,))
             elif kind == "'":
                 self.next()
-                node = Node("dagger", (node.span[0], pos + 1), None, (node,))
+                node = Node("dagger", None, (node,))
             else:
                 return node
 
@@ -294,26 +283,25 @@ class _Parser:
                 break
         if len(factors) == 1:
             return factors[0]
-        return Node("product", (factors[0].span[0], factors[-1].span[1]), None, tuple(factors))
+        return Node("product", None, tuple(factors))
 
     # sum := prod { ("+"|"-") prod }
     def sum(self) -> Node:
         terms = [self.prod()]
         while True:
-            kind, _, pos = self.peek()
+            kind = self.peek()[0]
             if kind == "+":
                 self.next()
                 terms.append(self.prod())
             elif kind == "-":
                 self.next()
                 rhs = self.prod()
-                minus_one = Node("rational", (pos, pos + 1), Fraction(-1))
-                terms.append(Node("product", (pos, rhs.span[1]), None, (minus_one, rhs)))
+                terms.append(Node("product", None, (Node("rational", Fraction(-1)), rhs)))
             else:
                 break
         if len(terms) == 1:
             return terms[0]
-        return Node("sum", (terms[0].span[0], terms[-1].span[1]), None, tuple(terms))
+        return Node("sum", None, tuple(terms))
 
     def _digits(self, closing: str) -> tuple[int, ...]:
         digits = [self._uint()]
@@ -325,25 +313,21 @@ class _Parser:
 
     # ket := "|" uint {"," uint} ">" | "Omega"
     def ket(self) -> Node:
-        kind, textv, start = self.peek()
+        kind, textv, _ = self.peek()
         if kind == "NAME" and textv == "Omega":
             self.next()
-            return Node("ket", (start, start + len(textv)), None)
+            return Node("ket")
         self.expect("|", "a ket")
-        digits = self._digits(">")
-        return Node("ket", (start, self.tokens[self.pos - 1][2] + 1), digits)
+        return Node("ket", self._digits(">"))
 
     # bra := "<" uint {"," uint} "|"
     def bra(self) -> Node:
-        start = self.peek()[2]
         self.expect("<", "a bra")
-        digits = self._digits("|")
-        return Node("bra", (start, self.tokens[self.pos - 1][2] + 1), digits)
+        return Node("bra", self._digits("|"))
 
     def _try_shared_bar_ket(self) -> Node | None:
         # Dirac adjacency "<a|b>" writes the bar once; accept digits '>' here.
         start_pos = self.pos
-        start = self.peek()[2]
         if self.peek()[0] != "NUMBER":
             return None
         digits = [self._int(self.next())]
@@ -356,8 +340,8 @@ class _Parser:
         if self.peek()[0] != ">":
             self.pos = start_pos
             return None
-        end_tok = self.next()
-        return Node("ket", (start, end_tok[2] + 1), tuple(digits))
+        self.next()
+        return Node("ket", tuple(digits))
 
     def top(self) -> Node:
         if self.peek()[0] == "<":
@@ -372,18 +356,18 @@ class _Parser:
                 ket = self.ket()
             self.expect("EOF", "end of input")
             children = (bra, operator, ket) if operator is not None else (bra, ket)
-            return Node("sandwich", (bra.span[0], ket.span[1]), None, children)
+            return Node("sandwich", None, children)
         if self._at_ket():
             ket = self.ket()
             self.expect("EOF", "end of input")
-            return Node("apply", ket.span, None, (ket,))
+            return Node("apply", None, (ket,))
         operator = self.sum()
         if self.peek()[0] == "*" and self._at_ket(1):
             self.next()
         if self._at_ket():
             ket = self.ket()
             self.expect("EOF", "end of input")
-            return Node("apply", (operator.span[0], ket.span[1]), None, (operator, ket))
+            return Node("apply", None, (operator, ket))
         self.expect("EOF", "end of input")
         return operator
 

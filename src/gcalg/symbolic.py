@@ -3,16 +3,18 @@
 The algebra on generators c_1 .. c_{2n} satisfies c_i c_j = q c_j c_i for
 i < j and c_i^N = 1, so every word equals a phase times the ascending power
 product c_1^{e_1} ... c_{2n}^{e_{2n}} with all exponents in [0, N).
-``normal_order`` performs the reduction literally, one adjacent swap at a
-time, and stays as the literal oracle; ``NormalMonomial.__mul__`` and
-``AlgebraElement.adjoint`` use the equivalent closed-form inversion counts
-and are cross-checked against the swap algorithm in the test suite.
+One rule counts the swaps that putting letters in order takes:
+``_cross_inversions``.  ``normal_order`` applies it letter by letter,
+``NormalMonomial.__mul__`` and ``AlgebraElement.__mul__`` to each pair of
+power products, and ``AlgebraElement.adjoint`` to a product and itself.
+The test suite checks all four against a literal bubble sort.
 Elements are :class:`gcalg.cyclo.ExactVector` maps from exponent vectors to
 coefficients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,31 +57,29 @@ class Word:
 def normal_order(word: Word) -> NormalMonomial:
     """Reduce a word to its unique phase * ordered-power normal form.
 
-    Bubble passes swap adjacent letters until the word ascends; every swap
-    that moves the smaller index left contributes a factor q^{-1}.  Exponents
-    then reduce mod N, since c_i^N = 1 carries no phase.
+    The word is built as the product of its letters: appending letter l to
+    an ordered power product moves it left past every larger letter, one
+    factor q^{-1} each.  Exponents then reduce mod N, since c_i^N = 1
+    carries no phase.
     """
     ctx = word.ctx
-    letters = list(word.letters)
-    swaps = 0
-    for p_end in range(len(letters) - 1, 0, -1):
-        changed = False
-        for p in range(p_end):
-            if letters[p] > letters[p + 1]:
-                letters[p], letters[p + 1] = letters[p + 1], letters[p]
-                swaps += 1
-                changed = True
-        if not changed:
-            break
     exps = [0] * ctx.num_generators
-    for ell in letters:
+    unit = [0] * ctx.num_generators
+    swaps = 0
+    for ell in word.letters:
+        unit[ell - 1] = 1
+        swaps += _cross_inversions(exps, unit)
+        unit[ell - 1] = 0
         exps[ell - 1] += 1
     return NormalMonomial(ctx, ctx.q(-swaps), tuple(e % ctx.N for e in exps))
 
 
-def _cross_inversions(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    # Adjacent swaps needed to merge two ordered power products: one per
-    # pair of letters (i from left, j from right) with i > j.
+def _cross_inversions(left: Sequence[int], right: Sequence[int]) -> int:
+    # The one reordering rule: adjacent swaps needed to merge two ordered
+    # power products, one per pair of letters (i from left, j from right)
+    # with i > j.  ``adjoint`` uses it as (f, f): sum_{i>j} f_i f_j, the
+    # swaps that put the descending product c_{2n}^{f_{2n}} ... c_1^{f_1}
+    # in order.
     total = 0
     tail = sum(left)
     for j in range(len(right)):
@@ -207,19 +207,16 @@ class AlgebraElement(ExactVector):
         The adjoint of c * c_1^{e_1} ... c_{2n}^{e_{2n}} is
         conj(c) * c_{2n}^{f_{2n}} ... c_1^{f_1} with f_i = -e_i mod N.  Putting
         that descending product in order swaps every pair of letters from
-        different blocks once, each swap a factor q^{-1}: sum_{i<j} f_i f_j =
-        (S^2 - sum_i f_i^2) / 2 swaps with S = sum_i f_i.  ``normal_order`` of
-        the spelled-out word gives the same phase.  Distinct terms have
-        distinct adjoint exponents, so nothing is summed or pruned.
+        different blocks once, each swap a factor q^{-1}: that is
+        ``_cross_inversions(f, f)`` swaps.  Distinct terms have distinct
+        adjoint exponents, so nothing is summed or pruned.
         """
         ctx = self.ctx
         N = ctx.N
         out: dict[tuple[int, ...], CycloScalar] = {}
         for exps, coeff in self.terms.items():
             f = tuple(-e % N for e in exps)
-            total = sum(f)
-            swaps = (total * total - sum(x * x for x in f)) // 2
-            out[f] = coeff.conj() * ctx.q(-swaps)
+            out[f] = coeff.conj() * ctx.q(-_cross_inversions(f, f))
         return AlgebraElement._raw(ctx, out)
 
     def __eq__(self, other):

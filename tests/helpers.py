@@ -17,7 +17,6 @@ from gcalg import (
     basis_indices,
     basis_state,
     ground_state,
-    normal_order,
 )
 from gcalg import expr, symbolic
 from gcalg.cyclo import cyclotomic_polynomial, sum_terms
@@ -89,11 +88,36 @@ def monomial_to_word(mono: NormalMonomial) -> Word:
     return Word(mono.ctx, tuple(letters))
 
 
+def bubble_normal_order(word: Word) -> NormalMonomial:
+    """The oracle of ``normal_order``: reduce a word literally.
+
+    Bubble passes swap adjacent letters until the word ascends; every swap
+    that moves the smaller index left contributes a factor q^{-1}.  Exponents
+    then reduce mod N, since c_i^N = 1 carries no phase.
+    """
+    ctx = word.ctx
+    letters = list(word.letters)
+    swaps = 0
+    for p_end in range(len(letters) - 1, 0, -1):
+        changed = False
+        for p in range(p_end):
+            if letters[p] > letters[p + 1]:
+                letters[p], letters[p + 1] = letters[p + 1], letters[p]
+                swaps += 1
+                changed = True
+        if not changed:
+            break
+    exps = [0] * ctx.num_generators
+    for ell in letters:
+        exps[ell - 1] += 1
+    return NormalMonomial(ctx, ctx.q(-swaps), tuple(e % ctx.N for e in exps))
+
+
 def bubble_product_oracle(a: NormalMonomial, b: NormalMonomial) -> NormalMonomial:
     """Independent product: bubble-reduce the concatenation of both words."""
     ctx = a.ctx
     letters = monomial_to_word(a).letters + monomial_to_word(b).letters
-    reduced = normal_order(Word(ctx, letters))
+    reduced = bubble_normal_order(Word(ctx, letters))
     return NormalMonomial(ctx, a.phase * b.phase * reduced.phase, reduced.exps)
 
 
@@ -110,7 +134,7 @@ def adjoint_oracle(x: AlgebraElement) -> AlgebraElement:
         letters: list[int] = []
         for i in range(ctx.num_generators, 0, -1):
             letters.extend([i] * ((N - exps[i - 1]) % N))
-        nm = normal_order(Word(ctx, tuple(letters)))
+        nm = bubble_normal_order(Word(ctx, tuple(letters)))
         out = out + AlgebraElement(ctx, {nm.exps: coeff.conj() * nm.phase})
     return out
 

@@ -60,16 +60,6 @@ class TestParsing:
         assert ast.children[0].kind == "bra"
         assert ast.children[0].value == (0, 0)
 
-    def test_spans_lie_within_input(self):
-        text = "q^2 * (c[1] + 1/2) |0,0>"
-        ast = parse(text)
-        stack = [ast]
-        while stack:
-            node = stack.pop()
-            lo, hi = node.span
-            assert 0 <= lo <= hi <= len(text)
-            stack.extend(node.children)
-
     def test_precedence(self):
         ctx = AlgebraContext(3, 2)
         # '^' binds tighter than juxtaposition

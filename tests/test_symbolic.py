@@ -15,8 +15,10 @@ from gcalg import (
     print_canonical,
     projector_element,
 )
+import faults
 from helpers import (
     adjoint_oracle,
+    bubble_normal_order,
     bubble_product_oracle,
     densify,
     product_oracle,
@@ -99,6 +101,44 @@ class TestNormalOrder:
             assert word_equals_element_everywhere(word, element)
 
 
+RULE_CONTEXTS = [
+    AlgebraContext(3, 2),
+    AlgebraContext(2, 3),
+    AlgebraContext(5, 1),
+    AlgebraContext(2, 6),
+    AlgebraContext(4, 2, 1),
+    AlgebraContext(4, 2, 5),
+]
+
+
+class TestOneReorderingRule:
+    # normal_order, both products and adjoint count swaps with
+    # symbolic._cross_inversions; the oracles bubble-sort letters instead.
+    @pytest.mark.parametrize("ctx", RULE_CONTEXTS, ids=lambda c: f"N{c.N}n{c.n}e{c.zeta_exp}")
+    def test_normal_order_matches_bubble_sort(self, ctx):
+        rng = random.Random(420 + 10 * ctx.N + ctx.n + ctx.zeta_exp)
+        for _ in range(150):
+            word = random_word(rng, ctx, 12)
+            got, want = normal_order(word), bubble_normal_order(word)
+            assert got.phase == want.phase, word
+            assert got.exps == want.exps, word
+
+    def test_each_user_of_the_rule_sees_a_wrong_swap_count(self, monkeypatch):
+        rng = random.Random(421)
+        ctx = AlgebraContext(3, 2)
+        words = [random_word(rng, ctx, 12) for _ in range(20)]
+        pairs = [(random_monomial(rng, ctx), random_monomial(rng, ctx)) for _ in range(20)]
+        elements = [random_element(rng, ctx) for _ in range(20)]
+        faults.inject(monkeypatch, "cross_inversions_plus_one")
+        assert any(normal_order(w) != bubble_normal_order(w) for w in words)
+        assert any(a * b != bubble_product_oracle(a, b) for a, b in pairs)
+        assert any(
+            a.to_element() * b.to_element() != bubble_product_oracle(a, b).to_element()
+            for a, b in pairs
+        )
+        assert any(x.adjoint() != adjoint_oracle(x) for x in elements)
+
+
 class TestMonomialProduct:
     def test_identity_laws(self):
         rng = random.Random(413)
@@ -171,7 +211,7 @@ class TestAdjoint:
         ctx = AlgebraContext(3, 2)
         x = AlgebraElement.generator(ctx, 1) * AlgebraElement.generator(ctx, 2)
         # oracle: (c_1 c_2)^dagger = c_2^2 c_1^2, normal ordered by swaps
-        oracle = normal_order(Word(ctx, (2, 2, 1, 1)))
+        oracle = bubble_normal_order(Word(ctx, (2, 2, 1, 1)))
         assert oracle.phase == ctx.q(-4)
         assert x.adjoint() == oracle.to_element()
         assert x.adjoint() == AlgebraElement(ctx, {(2, 2, 0, 0): ctx.q(2)})

@@ -360,3 +360,15 @@ class TestOutputDigest:
     ])
     def test_one_stdout_byte_or_exit_code_changes_it(self, changed):
         assert self.digest(**changed) != self.digest()
+
+    # What this tree's command line writes for the benchmark ops.  A change
+    # that alters output on purpose updates these lines and says so.
+    EXPECTED_LINES = [
+        "984 a591cd94618484c0dab3f3cf5c1f3c96afeb3fe5ee96b9bb712eb2a79a0e8e90",
+        "156 fabac18ec555ef0f6a3bc37e3bf0c45395f09e03df2e1c1d65045819b8e80703",
+    ]
+
+    def test_this_tree_prints_the_expected_lines(self):
+        run = subprocess.run([sys.executable, str(TOOLS / "output_digest.py")],
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines() == self.EXPECTED_LINES
