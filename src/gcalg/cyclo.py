@@ -436,9 +436,7 @@ class ExactVector:
         return self._raw(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def _scaled(self, value):
-        s = value if isinstance(value, CycloScalar) else self.ctx.scalar(value)
-        if s.order != self.ctx.order:
-            raise ContextMismatchError("scalar ring does not match the context")
+        s = self.ctx.scalar(value)
         if s.is_zero():
             return self._raw(self.ctx, {})
         # A nonzero scalar times a nonzero coefficient stays nonzero: the
@@ -574,7 +572,12 @@ class AlgebraContext:
         return _ROOTS[self.order][0]
 
     def scalar(self, value) -> CycloScalar:
-        return CycloScalar.rational(self.order, value)
+        """``value``, a rational or a scalar of this ring, as a scalar of this ring."""
+        if not isinstance(value, CycloScalar):
+            return CycloScalar.rational(self.order, value)
+        if value.order != self.order:
+            raise ContextMismatchError("scalar ring does not match the context")
+        return value
 
     def omega(self, k: int = 1) -> CycloScalar:
         """The root w^k, exponent reduced mod 2N."""

@@ -8,11 +8,14 @@ Surface syntax (ASCII only)::
     ket    := "|" uint { "," uint } ">" | "Omega"
     bra    := "<" uint { "," uint } "|"
     stateExpr  := [expr] ket
-    scalarExpr := bra [expr] ket
+    scalarExpr := bra [expr] ket | bra uint { "," uint } ">"
     rational   := int [ "/" uint ] ;  int := ["-"] uint
 
 Products are juxtaposition or an explicit ``*`` (also allowed between an
 operator expression and a ket, matching the canonical printer's output).
+The Dirac adjacency ``<a|b>`` shares one bar: after a bra, the parser looks
+ahead without consuming, and reads digits closed by ``>`` as the ket; any
+other continuation is an optional operator followed by a full ket.
 A ``-`` is a sign only where an atom must begin; after a complete factor
 it is always the binary minus.  ``'`` is the dagger and binds tightest;
 ``^`` with a negative exponent means the adjoint of the positive power.
@@ -35,6 +38,7 @@ __all__ = [
     "MAX_ACTION_LETTERS",
     "MAX_PAREN_DEPTH",
     "MAX_PRODUCT_WORK",
+    "MAX_PROJECTOR_WORK",
     "Node",
     "ParseError",
     "UnprintableError",
@@ -70,17 +74,22 @@ MAX_PRODUCT_WORK = 2**16
 # 100 letters.
 MAX_ACTION_LETTERS = 2**16
 
+# Most exponents the projector leaves of one expression may form.  Each
+# ``E[k]`` is N normal monomials of 2n exponents, so the E[k] leaves are
+# counted, and refused when leaves * N * 2n exceeds this budget, before
+# anything is formed.  One E[k] at N = 256, n = 1024 (524288 exponents) takes
+# about 0.15 s; the benchmark's eval forms at most 72.
+MAX_PROJECTOR_WORK = 2**20
+
 
 class ParseError(ValueError):
     """Syntax error with the offending position (0-based character offset)."""
 
     def __init__(self, message: str, text: str, pos: int):
         self.pos = min(pos, len(text))
-        line = text.count("\n", 0, self.pos) + 1
-        column = self.pos - (text.rfind("\n", 0, self.pos) + 1) + 1
-        self.line = line
-        self.column = column
-        super().__init__(f"syntax error at {line}:{column}: {message}")
+        self.line = text.count("\n", 0, self.pos) + 1
+        self.column = self.pos - text.rfind("\n", 0, self.pos)
+        super().__init__(f"syntax error at {self.line}:{self.column}: {message}")
 
 
 class EvalError(ValueError):
@@ -192,6 +201,14 @@ class _Parser:
     def _uint(self) -> int:
         return self._int(self.expect("NUMBER", "an unsigned integer"))
 
+    # int := ["-"] uint
+    def _signed(self, what: str) -> int:
+        negative = self.peek()[0] == "-"
+        if negative:
+            self.next()
+        value = self._int(self.expect("NUMBER", what))
+        return -value if negative else value
+
     def _at_atom(self, ahead: int = 0) -> bool:
         kind, textv, _ = self.peek(ahead)
         if kind == "NUMBER" or kind == "(":
@@ -234,11 +251,7 @@ class _Parser:
 
     # rational := int [ "/" uint ]
     def rational(self) -> Node:
-        negative = False
-        if self.peek()[0] == "-":
-            negative = True
-            self.next()
-        numerator = self._int(self.expect("NUMBER", "an integer"))
+        numerator = self._signed("an integer")
         denominator = 1
         if self.peek()[0] == "/":
             self.next()
@@ -246,7 +259,7 @@ class _Parser:
             denominator = self._int(dtok)
             if denominator == 0:
                 raise ParseError("zero denominator", self.text, dtok[2])
-        return Node("rational", Fraction(-numerator if negative else numerator, denominator))
+        return Node("rational", Fraction(numerator, denominator))
 
     # post := atom { "^" int | "'" }
     def post(self) -> Node:
@@ -255,12 +268,7 @@ class _Parser:
             kind = self.peek()[0]
             if kind == "^":
                 self.next()
-                negative = False
-                if self.peek()[0] == "-":
-                    negative = True
-                    self.next()
-                exponent = self._int(self.expect("NUMBER", "an integer exponent"))
-                node = Node("pow", -exponent if negative else exponent, (node,))
+                node = Node("pow", self._signed("an integer exponent"), (node,))
             elif kind == "'":
                 self.next()
                 node = Node("dagger", None, (node,))
@@ -325,51 +333,36 @@ class _Parser:
         self.expect("<", "a bra")
         return Node("bra", self._digits("|"))
 
-    def _try_shared_bar_ket(self) -> Node | None:
-        # Dirac adjacency "<a|b>" writes the bar once; accept digits '>' here.
-        start_pos = self.pos
-        if self.peek()[0] != "NUMBER":
-            return None
-        digits = [self._int(self.next())]
-        while self.peek()[0] == ",":
-            self.next()
-            if self.peek()[0] != "NUMBER":
-                self.pos = start_pos
-                return None
-            digits.append(self._int(self.next()))
-        if self.peek()[0] != ">":
-            self.pos = start_pos
-            return None
-        self.next()
-        return Node("ket", tuple(digits))
+    def _shared_bar_ket(self) -> bool:
+        # Whether the tokens ahead are digits and '>', the ket of a Dirac
+        # adjacency "<a|b>" that shares the bra's bar.  Nothing is consumed;
+        # an overlong digit is reported here, wherever the scan would end.
+        ahead = 0
+        while self.peek(ahead)[0] == "NUMBER":
+            self._int(self.peek(ahead))
+            if self.peek(ahead + 1)[0] != ",":
+                return self.peek(ahead + 1)[0] == ">"
+            ahead += 2
+        return False
 
+    # top := [bra] ( digits ">" | [sum ["*"]] [ket] )
     def top(self) -> Node:
-        if self.peek()[0] == "<":
-            bra = self.bra()
-            operator = None
-            ket = self._try_shared_bar_ket()
-            if ket is None:
-                if not self._at_ket():
-                    operator = self.sum()
-                    if self.peek()[0] == "*" and self._at_ket(1):
-                        self.next()
+        bra = self.bra() if self.peek()[0] == "<" else None
+        operator = ket = None
+        if bra is not None and self._shared_bar_ket():
+            ket = Node("ket", self._digits(">"))
+        else:
+            if not self._at_ket():
+                operator = self.sum()
+                if self.peek()[0] == "*" and self._at_ket(1):
+                    self.next()
+            if bra is not None or self._at_ket():
                 ket = self.ket()
-            self.expect("EOF", "end of input")
-            children = (bra, operator, ket) if operator is not None else (bra, ket)
-            return Node("sandwich", None, children)
-        if self._at_ket():
-            ket = self.ket()
-            self.expect("EOF", "end of input")
-            return Node("apply", None, (ket,))
-        operator = self.sum()
-        if self.peek()[0] == "*" and self._at_ket(1):
-            self.next()
-        if self._at_ket():
-            ket = self.ket()
-            self.expect("EOF", "end of input")
-            return Node("apply", None, (operator, ket))
         self.expect("EOF", "end of input")
-        return operator
+        if ket is None:
+            return operator
+        parts = tuple(part for part in (bra, operator, ket) if part is not None)
+        return Node("apply" if bra is None else "sandwich", None, parts)
 
 
 def parse(text: str) -> Node:
@@ -485,7 +478,7 @@ def _what(ast: Node) -> str:
 
 def _act(node: Node, ket: QuditState) -> QuditState:
     # The operator expression ``node`` applied to ``ket``, within MAX_ACTION_LETTERS.
-    element = _eval_operator(node, ket.ctx)
+    element = eval_element(node, ket.ctx)
     letters = sum(sum(exps) for exps in element.terms)
     if letters > MAX_ACTION_LETTERS:
         raise EvalError(
@@ -496,9 +489,22 @@ def _act(node: Node, ket: QuditState) -> QuditState:
 
 
 def eval_element(ast: Node, ctx: AlgebraContext) -> AlgebraElement:
-    """Evaluate an operator expression to an exact algebra element."""
+    """Evaluate an operator expression to an exact algebra element.
+
+    Raises EvalError, before anything is formed, when its projector leaves
+    would form more than ``MAX_PROJECTOR_WORK`` exponents.
+    """
     if ast.kind in _NOT_OPERATORS:
         raise EvalError(f"expected an element expression, got {_what(ast)}")
+    nodes = [ast]
+    for node in nodes:  # visits the children appended as it goes
+        nodes += node.children
+    work = sum(node.kind == "proj" for node in nodes) * ctx.N * 2 * ctx.n
+    if work > MAX_PROJECTOR_WORK:
+        raise EvalError(
+            f"result too large: the projectors would form {work} exponents (E[k] leaves "
+            f"times N times 2n), more than the budget of {MAX_PROJECTOR_WORK}"
+        )
     return _eval_operator(ast, ctx)
 
 

@@ -166,7 +166,9 @@ class AlgebraElement(ExactVector):
 
     @classmethod
     def from_scalar(cls, ctx: AlgebraContext, value) -> AlgebraElement:
-        return cls.one(ctx)._scaled(value)
+        # The scalar itself is the one coefficient, so its stored map is kept as it is.
+        s = ctx.scalar(value)
+        return cls._raw(ctx, {} if s.is_zero() else {(0,) * ctx.num_generators: s})
 
     @classmethod
     def generator(cls, ctx: AlgebraContext, i: int) -> AlgebraElement:

@@ -388,6 +388,38 @@ class TestEval:
                        "(the sum of every term's exponents), more than the budget of "
                        f"{expr.MAX_ACTION_LETTERS}\n")
 
+    def test_projector_budget_is_exact(self, monkeypatch, capsys):
+        # Two E[k] leaves at N = 3, n = 2 form 2 * 3 monomials of 4 exponents.
+        texts = ["E[1] + E[2]", "E[1] E[2]^-1 |0,0>", "<0,0| E[1]' E[2] |0,0>"]
+        monkeypatch.setattr(expr, "MAX_PROJECTOR_WORK", 24)
+        for text in texts:
+            code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
+            assert code == 0
+        monkeypatch.setattr(expr, "MAX_PROJECTOR_WORK", 23)
+        monkeypatch.setattr(expr, "projector_element", None)  # refused before any is formed
+        for text in texts:
+            code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
+            assert code == 1 and out == ""
+            assert err == ("error: result too large: the projectors would form 24 exponents "
+                           "(E[k] leaves times N times 2n), more than the budget of 23\n")
+
+    def test_projectors_over_the_budget_exit_1(self):
+        # 64 projectors at N = 256, n = 1024: once 9 s and 656 KB of output.
+        argv = ["eval", "--N", "256", "--n", "1024"]
+        text = "+".join(f"E[{k}]" for k in range(1, 65))
+        code, out, err = run_process([*argv, text], timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: result too large: the projectors would form 33554432 exponents "
+                       "(E[k] leaves times N times 2n), more than the budget of "
+                       f"{expr.MAX_PROJECTOR_WORK}\n")
+        # One projector in the same context is inside the budget and prints its N terms.
+        code, out, err = run_process([*argv, "E[1]"], timeout=30)
+        assert code == 0
+        assert err == ""
+        assert out.startswith("1/256 + 1/256 * zeta * c[1] c[2]^255 + ")
+        assert out.count("1/256") == 256
+
 
 class TestMatrix:
     def test_identity(self, capsys):

@@ -1,6 +1,7 @@
 """Tests for the expression parser, evaluator, and canonical printer."""
 
 import functools
+import hashlib
 import importlib.util
 import operator
 import random
@@ -41,7 +42,87 @@ def _load_workloads():
     return module
 
 
+# A seeded sweep over the grammar's tokens.  The fixed cases come first: the
+# shared bar of "<a|b>" and its near misses, and overlong digits inside them.
+_LONG = "9" * 4301
+_SWEEP_FIXED = [
+    "<0|0,", "<3|31,,-", "<0|0>", "<1,2|0,1>", "<0|0,>", "<0|>", "<0|0 >", "<0|0,1|",
+    "<0|" + _LONG + ">", "<0|0," + _LONG + "|0>", "<0|" + _LONG + " c[1]|0>",
+]
+_SWEEP_ANY = ["c[", "E[", "]", "zeta", "q", "Omega", "(", ")", "|", "<", ">", ",", "^", "'",
+              "+", "-", "*", "/", " ", "\n", "0", "1", "2", "17", "@"]
+_SWEEP_TAIL = ["0", "1", "31", ",", ">", "|", "*", "-", "c[1]", "Omega", "q", " ", "<",
+               "0>", "1,2>", "|0>", "^-1", "-2", " c[2] ", "* |1>", "c[1]' *"]
+_SWEEP_HEADS = ["", "<0|", "<3|", "<1,2|", "<0,", "<", "c[1]", "2 q", "(c[2])'", "E[1]",
+                "<0|c[1]"]
+
+
+def _sweep_inputs(seed: int, count: int):
+    yield from _SWEEP_FIXED
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.3:
+            yield "".join(rng.choices(_SWEEP_ANY, k=rng.randint(0, 10)))
+        else:
+            head = rng.choice(_SWEEP_HEADS)
+            yield head + "".join(rng.choices(_SWEEP_TAIL, k=rng.randint(0, 4)))
+
+
+def _sweep_digest(seed: int, count: int) -> str:
+    # sha256 over every input with its AST's repr or its ParseError message.
+    digest = hashlib.sha256()
+    for text in _sweep_inputs(seed, count):
+        try:
+            out = repr(parse(text))
+        except ParseError as exc:
+            out = str(exc)
+        digest.update(f"{text}\t{out}\n".encode())
+    return digest.hexdigest()
+
+
 class TestParsing:
+    def test_seeded_sweep_keeps_every_ast_and_message(self):
+        # Pinned on the parser that read the shared bar by backtracking; the
+        # sweep holds 20011 inputs, about 2900 of which parse.
+        assert _sweep_digest(21, 20000) == (
+            "b1bc96be8bbea18498990a5db64cb81713526f4565130e9c140acd2c971dc3ee"
+        )
+
+    @pytest.mark.parametrize("text,expected", [
+        ("<1,0|0,2>", "sandwich(bra (1, 0), ket (0, 2))"),
+        ("<1| c[1] |0>", "sandwich(bra (1,), gen 1, ket (0,))"),
+        ("<1| c[1] * |0>", "sandwich(bra (1,), gen 1, ket (0,))"),
+        ("<0|Omega", "sandwich(bra (0,), ket None)"),
+        ("<0||0>", "sandwich(bra (0,), ket (0,))"),
+        ("c[1] |0>", "apply(gen 1, ket (0,))"),
+        ("c[1] * |0>", "apply(gen 1, ket (0,))"),
+        ("c[1] Omega", "apply(gen 1, ket None)"),
+        ("|0,1>", "apply(ket (0, 1))"),
+        ("Omega", "apply(ket None)"),
+        ("c[1]", "gen 1"),
+        ("2 c[1]", "product(rational 2, gen 1)"),
+    ])
+    def test_each_top_level_form(self, text, expected):
+        def shape(node):
+            if not node.children:
+                return f"{node.kind} {node.value}"
+            return f"{node.kind}({', '.join(map(shape, node.children))})"
+
+        assert shape(parse(text)) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("<0|0,", "1:5: expected 'a ket'"),
+        ("<3|31,,-", "1:6: expected 'a ket'"),
+        ("<0|0,>", "1:5: expected 'a ket'"),
+        ("<0|0 c[1]", "1:10: expected 'a ket'"),
+        ("<0|Omega>", "1:9: expected 'end of input'"),
+    ])
+    def test_shared_bar_near_misses(self, text, message):
+        # Digits after a bra that do not close with '>' are an operator, and a ket must follow.
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == "syntax error at " + message
+
     def test_product_by_juxtaposition(self):
         ast = parse("c[1] c[2]")
         assert ast.kind == "product"

@@ -43,7 +43,7 @@ class TestAbCycle:
         ops = [["0", "a"], ["1", "b"]]
         outputs = {"base": (2.0, ops), "this": (1.0, ops)}
         monkeypatch.setattr(ab_cycle, "child", _fake_child(tmp_path, outputs))
-        assert ab_cycle.compare(3, tmp_path, "verify_suite", 1) == 0
+        assert ab_cycle.compare(3, tmp_path, ab_cycle.ROOT, "verify_suite", 1) == 0
         out = capsys.readouterr().out
         assert "won: base 0/3, this 3/3" in out
         assert "(base/this 2.000)" in out
@@ -64,7 +64,7 @@ class TestAbCycle:
             return {"seconds": seconds, "ops": [["0", "a"]], "argv": ["op-0"]}
 
         monkeypatch.setattr(ab_cycle, "child", child)
-        assert ab_cycle.compare(10, tmp_path, "verify_suite", 1) == 0
+        assert ab_cycle.compare(10, tmp_path, ab_cycle.ROOT, "verify_suite", 1) == 0
         out = capsys.readouterr().out
         base_q1, _, base_q3 = ab_cycle.quartiles(_BASE_SECONDS)
         this_q1, this_med, this_q3 = ab_cycle.quartiles(this_seconds)
@@ -83,7 +83,7 @@ class TestAbCycle:
         this = [["0", "a"], ["1", "b"], ["0", "x"]]
         outputs = {"base": (1.0, base), "this": (1.0, this)}
         monkeypatch.setattr(ab_cycle, "child", _fake_child(tmp_path, outputs))
-        assert ab_cycle.compare(2, tmp_path, "verify_suite", 1) == 1
+        assert ab_cycle.compare(2, tmp_path, ab_cycle.ROOT, "verify_suite", 1) == 1
         out = capsys.readouterr().out
         assert "outputs: 2 ops differ in exit code or stdout" in out
         assert "  op 1: op-1\n  op 2: op-2\n" in out
@@ -118,6 +118,24 @@ REVS = {"base": "b" * 40, "this": "t" * 40}
 DIGESTS = ["984 a591", "156 fabac18e"]
 
 
+def _one_commit_repo(tmp_path, monkeypatch):
+    # A repository with a.py and a .gitignore of out/ committed, made ab_cycle's ROOT.
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "a.py").write_text("a\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setattr(ab_cycle, "ROOT", repo)
+    return repo
+
+
 class TestAbBench:
     output_digests = staticmethod(ab_cycle.output_digests)  # before fake_digests replaces it
 
@@ -150,7 +168,7 @@ class TestAbBench:
         calls = []
         monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, calls))
         target = tmp_path / "BENCH_t.json"
-        assert ab_cycle.bench("t", 4, base, 11, target, REVS, seconds=2.5) == 0
+        assert ab_cycle.bench("t", 4, base, ab_cycle.ROOT, 11, target, REVS, seconds=2.5) == 0
         spec = json.loads((ab_cycle.ROOT / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in spec["workloads"]]
         # Every workload of the benchmark, each over the same seeds and pair order.
@@ -191,7 +209,7 @@ class TestAbBench:
         fake_digests["base"] = base_digests
         monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, []))
         target = tmp_path / "BENCH_t.json"
-        assert ab_cycle.bench("t", 2, base, 1, target, REVS, seconds=1.0) == code
+        assert ab_cycle.bench("t", 2, base, ab_cycle.ROOT, 1, target, REVS, seconds=1.0) == code
         report = json.loads(target.read_text())
         assert report["digests"] == {"base": base_digests, "this": DIGESTS}
         out = capsys.readouterr().out
@@ -227,7 +245,7 @@ class TestAbBench:
         calls = []
         monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, calls))
         target = tmp_path / "BENCH_t.json"
-        assert ab_cycle.bench("t", 2, base, 1, target, REVS) == 0
+        assert ab_cycle.bench("t", 2, base, ab_cycle.ROOT, 1, target, REVS) == 0
         run_seconds = json.loads((ab_cycle.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
         assert {seconds for *_, seconds in calls} == {run_seconds}
         assert json.loads(target.read_text())["seconds"] == run_seconds
@@ -236,7 +254,7 @@ class TestAbBench:
         base = _harness_copy(tmp_path)
         monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, [], failed=3))
         target = tmp_path / "BENCH_t.json"
-        assert ab_cycle.bench("t", 2, base, 1, target, REVS, seconds=1.0) == 1
+        assert ab_cycle.bench("t", 2, base, ab_cycle.ROOT, 1, target, REVS, seconds=1.0) == 1
         report = json.loads(target.read_text())
         for workload in report["workloads"].values():
             assert [r["failed"] for r in workload["runs"]["this"]] == [3, 3]
@@ -252,7 +270,7 @@ class TestAbBench:
         calls = []
         monkeypatch.setattr(ab_cycle, "bench_run", self.fake_runner(base, calls))
         with pytest.raises(SystemExit, match=f"differs between the trees: {change}$"):
-            ab_cycle.bench("t", 2, base, 1, tmp_path / "B.json", REVS, seconds=1.0)
+            ab_cycle.bench("t", 2, base, ab_cycle.ROOT, 1, tmp_path / "B.json", REVS, seconds=1.0)
         assert calls == [] and not (tmp_path / "B.json").exists()
 
     def test_generated_files_are_not_part_of_the_benchmark(self, tmp_path):
@@ -266,19 +284,7 @@ class TestAbBench:
         assert "perfbench/run.py" in files and "BENCHMARK.json" in files
 
     def test_a_dirty_tree_is_named_by_a_digest_of_its_changes(self, monkeypatch, tmp_path):
-        repo = tmp_path / "repo"
-        repo.mkdir()
-
-        def git(*args):
-            subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
-                            *args], check=True, capture_output=True)
-
-        git("init", "-q")
-        (repo / ".gitignore").write_text("out/\n")
-        (repo / "a.py").write_text("a\n")
-        git("add", ".")
-        git("commit", "-q", "-m", "one")
-        monkeypatch.setattr(ab_cycle, "ROOT", repo)
+        repo = _one_commit_repo(tmp_path, monkeypatch)
         clean = ab_cycle.revisions("HEAD")
         assert clean["this"] == clean["base"] and len(clean["base"]) == 40
         # Ignored files leave the tree clean.
@@ -299,6 +305,23 @@ class TestAbBench:
         edited = ab_cycle.revisions("HEAD")["this"]
         assert edited.startswith(clean["base"] + " with uncommitted changes, sha256 ")
         assert edited != untracked
+
+    def test_both_trees_are_siblings_under_one_directory(self, monkeypatch, tmp_path):
+        # Neither tree runs from where the script lies, so neither is favoured by it.
+        repo = _one_commit_repo(tmp_path, monkeypatch)
+        (repo / "a.py").write_text("b\n")
+        (repo / "new.py").write_text("n\n")
+        (repo / "out").mkdir()
+        (repo / "out" / "x").write_text("x")
+        with ab_cycle.checkout("HEAD") as (base, this):
+            assert base.parent == this.parent
+            assert base.name == "base" and this.name == "this"
+            assert not repo.is_relative_to(base.parent)
+            assert (base / "a.py").read_text() == "a\n" and not (base / "new.py").exists()
+            # The copy holds the files the revision digest covers, and no ignored one.
+            assert (this / "a.py").read_text() == "b\n" and (this / "new.py").read_text() == "n\n"
+            assert sorted(p.name for p in this.rglob("*")) == [".gitignore", "a.py", "new.py"]
+        assert not base.parent.exists()
 
 
 SNIPPET = '''"""Module docstring,

@@ -3,9 +3,12 @@
     python tools/ab_cycle.py --base REV --workload W --rounds K [--seed S]
     python tools/ab_cycle.py --base REV --bench LABEL --rounds K [--seed S]
 
-REV is exported with ``git archive`` into a temporary directory, which is
-removed again at exit.  Both modes alternate which tree runs first, round by
-round.
+REV is exported with ``git archive``, and this tree copied, into sibling
+directories of one temporary directory, which is removed again at exit; both
+trees run from there, so that neither is favoured by where it lies.  The
+copy holds this tree's working files that git tracks or would track
+(untracked files that ``.gitignore`` does not exclude).  Both modes alternate
+which tree runs first, round by round.
 
 Without ``--bench``, each round starts one fresh interpreter per tree, and
 each interpreter runs one cycle of the op list that this tree's
@@ -47,6 +50,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -98,14 +102,35 @@ def child(src: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout)
 
 
+def _git(*args) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          check=True).stdout
+
+
+def _working_files() -> list[str]:
+    """This tree's files that git tracks or would track, by relative path.
+
+    These are the files whose changes ``revisions`` digests; a tracked file
+    deleted from the working tree is left out.
+    """
+    names = _git("ls-files", "--cached", "--others", "--exclude-standard", "-z").split(b"\0")
+    return [name.decode() for name in names if name and (ROOT / name.decode()).is_file()]
+
+
 @contextlib.contextmanager
 def checkout(rev: str):
-    """The files of ``rev`` in a temporary directory, removed at exit."""
+    """``rev`` and a copy of this tree in sibling directories, removed at exit.
+
+    Yields the paths ``base`` and ``this`` of one temporary directory.
+    """
     with tempfile.TemporaryDirectory(prefix="ab_cycle-") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        yield Path(tmp)
+        base, this = Path(tmp, "base"), Path(tmp, "this")
+        base.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(base)], input=_git("archive", rev), check=True)
+        for name in _working_files():
+            (this / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, this / name)
+        yield base, this
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -115,8 +140,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4))
 
 
-def compare(rounds: int, base: Path, workload: str, seed: int) -> int:
-    trees = {"base": base / "src", "this": ROOT / "src"}
+def compare(rounds: int, base: Path, this: Path, workload: str, seed: int) -> int:
+    trees = {"base": base / "src", "this": this / "src"}
     seconds = {name: [] for name in trees}
     mismatches: dict[int, str] = {}
     print(f"{workload}, seed {seed}: seconds per cycle")
@@ -172,9 +197,8 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
     Bytecode caches are written as by any run, so that ``setup_s`` compiles
     the sources in neither tree after the first run.  ``PYTHONDONTWRITEBYTECODE``
-    is dropped from the run's environment: with it, the exported tree would
-    compile its sources at every start, while this tree may hold caches of
-    earlier runs, which favours this tree in ``setup_s`` and ``peak_rss_mb``.
+    is dropped from the run's environment: with it, every start would compile
+    the sources, which the benchmark's own runs do not.
     """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     done = subprocess.run(
@@ -206,17 +230,13 @@ def revisions(base_rev: str) -> dict[str, str]:
     The digest is a sha256 over ``git diff HEAD --binary`` and the path and
     bytes of every untracked file that ``.gitignore`` does not exclude.
     """
-    def git(*args):
-        return subprocess.run(["git", "-C", str(ROOT), *args],
-                              capture_output=True, check=True).stdout
-
     def commit(rev):
-        return git("rev-parse", f"{rev}^{{commit}}").decode().strip()
+        return _git("rev-parse", f"{rev}^{{commit}}").decode().strip()
 
     this = commit("HEAD")
-    if git("status", "--porcelain"):
-        digest = hashlib.sha256(git("diff", "HEAD", "--binary"))
-        for name in git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0"):
+    if _git("status", "--porcelain"):
+        digest = hashlib.sha256(_git("diff", "HEAD", "--binary"))
+        for name in _git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0"):
             if name:
                 digest.update(b"\0" + name + b"\0" + (ROOT / name.decode()).read_bytes())
         this += f" with uncommitted changes, sha256 {digest.hexdigest()}"
@@ -240,14 +260,14 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def bench(label: str, rounds: int, base: Path, seed: int, target: Path,
+def bench(label: str, rounds: int, base: Path, this: Path, seed: int, target: Path,
           revs: dict[str, str], seconds: float | None = None) -> int:
     """Alternating ``run.py`` pairs in both trees, summarized into ``target``.
 
     Every workload of ``BENCHMARK.json`` runs for its ``run_seconds``;
     ``seconds`` only shortens the runs in tests.
     """
-    ours = harness_files(ROOT)
+    ours = harness_files(this)
     theirs = harness_files(base)
     if differ := sorted(p for p in ours.keys() | theirs.keys() if ours.get(p) != theirs.get(p)):
         raise SystemExit(f"the benchmark differs between the trees: {', '.join(differ)}")
@@ -262,7 +282,7 @@ def bench(label: str, rounds: int, base: Path, seed: int, target: Path,
         "seeds": [seed + r for r in range(rounds)],
         "workloads": {},
     }
-    trees = {"base": base, "this": ROOT}
+    trees = {"base": base, "this": this}
     report["digests"] = digests = {side: output_digests(tree) for side, tree in trees.items()}
     differ = None not in digests.values() and digests["base"] != digests["this"]
     print(f"output digests: base {digests['base']}, this {digests['this']}", flush=True)
@@ -317,11 +337,11 @@ def main(argv=None) -> int:
         parser.error("give either --workload or --bench")
     if args.rounds < (2 if args.bench else 1):
         parser.error(f"--rounds must be at least {2 if args.bench else 1}")
-    with checkout(args.base) as base:
+    with checkout(args.base) as (base, this):
         if args.bench:
-            return bench(args.bench, args.rounds, base, args.seed,
+            return bench(args.bench, args.rounds, base, this, args.seed,
                          ROOT / f"BENCH_{args.bench}.json", revisions(args.base))
-        return compare(args.rounds, base, args.workload, args.seed)
+        return compare(args.rounds, base, this, args.workload, args.seed)
 
 
 if __name__ == "__main__":
