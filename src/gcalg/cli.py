@@ -58,13 +58,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--zeta-sign", choices=["+", "-"], default=None,
                         help="square root of q: '+' for +exp(i*pi/N) (even N only), "
                              "'-' for -exp(i*pi/N)")
-    common.add_argument("--format", choices=["json", "csv", "text"], default="text",
-                        help="output format (default text)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
-    common.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT,
-                        help="largest dimension N^n that verify, matrix and gram accept "
-                             f"(default {DENSE_CAP_DEFAULT})")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     return common
@@ -72,6 +65,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gcalg parser; each subcommand takes only the flags it reads."""
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="gcalg",
@@ -79,19 +73,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, and matrix export.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", parents=[common],
-                            help="run the identity-verification suite")
-    verify.add_argument("--checks", nargs="+", choices=axioms.ALL_CHECKS, default=None,
-                        metavar="NAME",
-                        help=f"subset of checks to run (default all): {', '.join(axioms.ALL_CHECKS)}")
-    evaluate = sub.add_parser("eval", parents=[common],
-                              help="evaluate an element, state, or bra-ket expression")
-    evaluate.add_argument("expression")
-    matrix = sub.add_parser("matrix", parents=[common],
-                            help="export the dense matrix of an element expression")
-    matrix.add_argument("expression")
-    sub.add_parser("gram", parents=[common],
-                   help="export the Gram matrix of the ordered basis vectors")
+    commands = {}
+    for name, formats, dense, text in (
+        ("verify", ["json", "text"], True, "run the identity-verification suite"),
+        ("eval", ["json", "text"], False, "evaluate an element, state, or bra-ket expression"),
+        ("matrix", ["json", "csv", "text"], True,
+         "export the dense matrix of an element expression"),
+        ("gram", ["json", "csv", "text"], True,
+         "export the Gram matrix of the ordered basis vectors"),
+    ):
+        command = commands[name] = sub.add_parser(name, parents=[common], help=text)
+        command.add_argument("--format", choices=formats, default="text",
+                             help="output format (default text)")
+        if dense:
+            command.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT,
+                                 help="largest dimension N^n accepted "
+                                      f"(default {DENSE_CAP_DEFAULT})")
+    commands["verify"].add_argument("--seed", type=int, default=0,
+                                    help="seed for randomized checks (default 0)")
+    commands["verify"].add_argument(
+        "--checks", nargs="+", choices=axioms.ALL_CHECKS, default=None, metavar="NAME",
+        help=f"subset of checks to run (default all): {', '.join(axioms.ALL_CHECKS)}")
+    commands["eval"].add_argument("expression")
+    commands["matrix"].add_argument("expression")
     return parser
 
 
@@ -268,8 +272,6 @@ def _matrix_chunks(rows, fmt: str, ctx):
 
 def cmd_verify(args, parser) -> int:
     ctx = _context(args, parser)
-    if args.format == "csv":
-        parser.error("csv output is not available for verify")
     rep.check_dense_cap(ctx, args.dense_cap)
     reports = axioms.run_suite(ctx, args.checks, seed=args.seed)
     if args.format == "json":
@@ -290,8 +292,6 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     ctx = _context(args, parser)
-    if args.format == "csv":
-        parser.error("csv output is not available for eval")
     ast = expr.parse(args.expression)
     if ast.kind == "sandwich":
         kind, value = "scalar", expr.eval_scalar(ast, ctx)
@@ -325,7 +325,7 @@ def cmd_gram(args, parser) -> int:
 
 
 def _context(args, parser) -> AlgebraContext:
-    if args.dense_cap < 1:
+    if "dense_cap" in args and args.dense_cap < 1:
         parser.error(f"--dense-cap {args.dense_cap} must be at least 1")
     if args.N > MAX_N:
         parser.error(f"--N {args.N} exceeds the largest supported order {MAX_N}")

@@ -36,9 +36,8 @@ from .symbolic import AlgebraElement, projector_element
 __all__ = [
     "EvalError",
     "MAX_ACTION_LETTERS",
+    "MAX_EVAL_WORK",
     "MAX_PAREN_DEPTH",
-    "MAX_PRODUCT_WORK",
-    "MAX_PROJECTOR_WORK",
     "Node",
     "ParseError",
     "UnprintableError",
@@ -56,15 +55,21 @@ __all__ = [
 # recursion limit; past this depth a positioned ParseError is raised instead.
 MAX_PAREN_DEPTH = 200
 
-# Largest work a product in an expression may take.  Forming the product of
-# elements with s and t terms, whose coefficients store e and f entries in
-# all, merges s * t pairs of 2n-long exponent tuples and multiplies e * f
-# pairs of entries, so it is refused before it is formed when
-# s * t * 2n + e * f exceeds this budget.  A chain or a power starts from
-# its first factor, so the identity is never a factor of a checked product.
-# A product near the budget takes under a second; the benchmark's eval
-# products stay near 500.
-MAX_PRODUCT_WORK = 2**16
+# Most steps one evaluation of an operator expression may take.  Each product
+# and each projector is charged before it is formed: a product of elements
+# with s and t terms, whose coefficients store e and f entries in all, merges
+# s * t pairs of 2n-long exponent tuples and multiplies e * f pairs of
+# entries, so it is charged s * t * 2n + e * f steps; an E[k] leaf is N normal
+# monomials of 2n exponents, so it is charged N * 2n.  The step that would
+# take the evaluation's count past this budget is refused, so a long chain of
+# small products is bounded as a whole, not product by product.  Leaves other
+# than E[k], sums and adjoints are not charged.  A chain or a power starts
+# from its first factor, so the identity is never a factor of a charged
+# product.  One E[k] at N = 256, n = 1024 (524288 steps) takes about 0.15 s;
+# a product step takes up to about 3.5 us at N = 255, n = 1, where zero tests
+# of merged coefficients are slow, so an evaluation near the budget can take
+# about 3.4 s.  The benchmark's evaluations take at most 758 steps.
+MAX_EVAL_WORK = 2**20
 
 # Most letters an element may apply to a ket in a state or bra-ket
 # expression.  ``apply_element`` replays every letter of every term on the
@@ -73,13 +78,6 @@ MAX_PRODUCT_WORK = 2**16
 # letter the budget takes about 0.2 s; the benchmark's actions stay under
 # 100 letters.
 MAX_ACTION_LETTERS = 2**16
-
-# Most exponents the projector leaves of one expression may form.  Each
-# ``E[k]`` is N normal monomials of 2n exponents, so the E[k] leaves are
-# counted, and refused when leaves * N * 2n exceeds this budget, before
-# anything is formed.  One E[k] at N = 256, n = 1024 (524288 exponents) takes
-# about 0.15 s; the benchmark's eval forms at most 72.
-MAX_PROJECTOR_WORK = 2**20
 
 
 class ParseError(ValueError):
@@ -374,86 +372,99 @@ def parse(text: str) -> Node:
     return _Parser(text).top()
 
 
-def _eval_operator(node: Node, ctx: AlgebraContext) -> AlgebraElement:
-    kind = node.kind
-    if kind == "rational":
-        return AlgebraElement.from_scalar(ctx, node.value)
-    if kind == "q":
-        return AlgebraElement.from_scalar(ctx, ctx.q())
-    if kind == "zeta":
-        return AlgebraElement.from_scalar(ctx, ctx.zeta())
-    if kind == "gen":
-        if not 1 <= node.value <= ctx.num_generators:
-            raise EvalError(
-                f"generator index {node.value} out of range 1..{ctx.num_generators}"
-            )
-        return AlgebraElement.generator(ctx, node.value)
-    if kind == "proj":
-        if not 1 <= node.value <= ctx.n:
-            raise EvalError(f"projector index {node.value} out of range 1..{ctx.n}")
-        return projector_element(ctx, node.value)
-    if kind in ("pow", "dagger"):
-        # A postfix chain such as x^2'^3 nests one node per operator; walk it
-        # in a loop so that long chains cannot exhaust the recursion limit.
-        chain = []
-        while node.kind in ("pow", "dagger"):
-            chain.append(node)
-            node = node.children[0]
-        out = _eval_operator(node, ctx)
-        for op in reversed(chain):
-            out = _power(out, op.value) if op.kind == "pow" else out.adjoint()
-        return out
-    if kind == "product":
-        out = _eval_operator(node.children[0], ctx)
-        for child in node.children[1:]:
-            out = _printable_product(out, _eval_operator(child, ctx))
-        return out
-    if kind == "sum":
-        # One map takes every child in turn, as the fold out = out + child
-        # would: a key a child adds to is summed and then zero-tested, so
-        # stored forms and key order match the fold without re-merging the
-        # running sum per child.
-        terms = {}
-        for child in node.children:
-            summed = []
-            for key, value in _eval_operator(child, ctx).terms.items():
-                if key in terms:
-                    terms[key] = terms[key] + value
-                    summed.append(key)
-                else:
-                    terms[key] = value
-            for key in summed:
-                if terms[key].is_zero():
-                    del terms[key]
-        return AlgebraElement._raw(ctx, terms)
-    raise EvalError(f"expected an operator expression, found a {kind} node")
-
-
 def _stored_size(x: AlgebraElement) -> int:
     # Terms times their stored coefficient entries.
     return sum(len(coeff.coeffs) for coeff in x.terms.values())
 
 
-def _printable_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    # Every product an expression forms, in a chain or a power, passes both
-    # budgets: MAX_PRODUCT_WORK before it is formed, the digit limit after.
-    work = len(a.terms) * len(b.terms) * 2 * a.ctx.n + _stored_size(a) * _stored_size(b)
-    if work > MAX_PRODUCT_WORK:
-        raise EvalError(
-            f"result too large: a product would take {work} steps (term pairs times 2n, "
-            f"plus coefficient entry pairs), more than the budget of {MAX_PRODUCT_WORK}"
-        )
-    out = a * b
-    check_digit_limit([v for coeff in out.terms.values() for v in coeff.coeffs.values()])
-    return out
+class _Evaluation:
+    # One evaluation of an operator expression and the steps it has been
+    # charged against MAX_EVAL_WORK, each before what it pays for is formed.
 
+    def __init__(self, ctx: AlgebraContext):
+        self.ctx = ctx
+        self.work = 0
 
-def _power(x: AlgebraElement, k: int) -> AlgebraElement:
-    # x^k as AlgebraElement.__pow__ forms it, but every product is checked:
-    # coefficients can double in length and terms multiply per squaring, so a
-    # huge k would otherwise run without bound on a result never printed.
-    out = power_by_squaring(x, abs(k), AlgebraElement.one(x.ctx), _printable_product)
-    return out.adjoint() if k < 0 else out
+    def charge(self, steps: int) -> None:
+        self.work += steps
+        if self.work > MAX_EVAL_WORK:
+            raise EvalError(
+                f"result too large: the evaluation would take {self.work} steps (term pairs "
+                "times 2n plus coefficient entry pairs per product, N times 2n per E[k]), "
+                f"more than the budget of {MAX_EVAL_WORK}"
+            )
+
+    def operator(self, node: Node) -> AlgebraElement:
+        ctx = self.ctx
+        kind = node.kind
+        if kind == "rational":
+            return AlgebraElement.from_scalar(ctx, node.value)
+        if kind == "q":
+            return AlgebraElement.from_scalar(ctx, ctx.q())
+        if kind == "zeta":
+            return AlgebraElement.from_scalar(ctx, ctx.zeta())
+        if kind == "gen":
+            if not 1 <= node.value <= ctx.num_generators:
+                raise EvalError(
+                    f"generator index {node.value} out of range 1..{ctx.num_generators}"
+                )
+            return AlgebraElement.generator(ctx, node.value)
+        if kind == "proj":
+            if not 1 <= node.value <= ctx.n:
+                raise EvalError(f"projector index {node.value} out of range 1..{ctx.n}")
+            self.charge(ctx.N * 2 * ctx.n)
+            return projector_element(ctx, node.value)
+        if kind in ("pow", "dagger"):
+            # A postfix chain such as x^2'^3 nests one node per operator; walk it
+            # in a loop so that long chains cannot exhaust the recursion limit.
+            chain = []
+            while node.kind in ("pow", "dagger"):
+                chain.append(node)
+                node = node.children[0]
+            out = self.operator(node)
+            for op in reversed(chain):
+                out = self.power(out, op.value) if op.kind == "pow" else out.adjoint()
+            return out
+        if kind == "product":
+            out = self.operator(node.children[0])
+            for child in node.children[1:]:
+                out = self.product(out, self.operator(child))
+            return out
+        if kind == "sum":
+            # One map takes every child in turn, as the fold out = out + child
+            # would: a key a child adds to is summed and then zero-tested, so
+            # stored forms and key order match the fold without re-merging the
+            # running sum per child.
+            terms = {}
+            for child in node.children:
+                summed = []
+                for key, value in self.operator(child).terms.items():
+                    if key in terms:
+                        terms[key] = terms[key] + value
+                        summed.append(key)
+                    else:
+                        terms[key] = value
+                for key in summed:
+                    if terms[key].is_zero():
+                        del terms[key]
+            return AlgebraElement._raw(ctx, terms)
+        raise EvalError(f"expected an operator expression, found a {kind} node")
+
+    def product(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+        # Every product an expression forms, in a chain or a power, is charged
+        # before it is formed and passes the digit limit after.
+        self.charge(len(a.terms) * len(b.terms) * 2 * self.ctx.n
+                    + _stored_size(a) * _stored_size(b))
+        out = a * b
+        check_digit_limit([v for coeff in out.terms.values() for v in coeff.coeffs.values()])
+        return out
+
+    def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
+        # x^k as AlgebraElement.__pow__ forms it, but every product is charged:
+        # coefficients can double in length and terms multiply per squaring, so
+        # a huge k would otherwise run without bound on a result never printed.
+        out = power_by_squaring(x, abs(k), AlgebraElement.one(self.ctx), self.product)
+        return out.adjoint() if k < 0 else out
 
 
 def _eval_label(node: Node, ctx: AlgebraContext) -> QuditState:
@@ -491,21 +502,13 @@ def _act(node: Node, ket: QuditState) -> QuditState:
 def eval_element(ast: Node, ctx: AlgebraContext) -> AlgebraElement:
     """Evaluate an operator expression to an exact algebra element.
 
-    Raises EvalError, before anything is formed, when its projector leaves
-    would form more than ``MAX_PROJECTOR_WORK`` exponents.
+    Each product and each ``E[k]`` leaf is charged its steps before it is
+    formed, against one budget per call, ``MAX_EVAL_WORK``; the one that
+    would take the count past it raises EvalError instead.
     """
     if ast.kind in _NOT_OPERATORS:
         raise EvalError(f"expected an element expression, got {_what(ast)}")
-    nodes = [ast]
-    for node in nodes:  # visits the children appended as it goes
-        nodes += node.children
-    work = sum(node.kind == "proj" for node in nodes) * ctx.N * 2 * ctx.n
-    if work > MAX_PROJECTOR_WORK:
-        raise EvalError(
-            f"result too large: the projectors would form {work} exponents (E[k] leaves "
-            f"times N times 2n), more than the budget of {MAX_PROJECTOR_WORK}"
-        )
-    return _eval_operator(ast, ctx)
+    return _Evaluation(ctx).operator(ast)
 
 
 def eval_state(ast: Node, ctx: AlgebraContext) -> QuditState:

@@ -64,12 +64,11 @@ def normal_order(word: Word) -> NormalMonomial:
     """
     ctx = word.ctx
     exps = [0] * ctx.num_generators
-    unit = [0] * ctx.num_generators
     swaps = 0
     for ell in word.letters:
-        unit[ell - 1] = 1
-        swaps += _cross_inversions(exps, unit)
-        unit[ell - 1] = 0
+        # Letter ell alone is the one-letter power product (1,) on the
+        # generators from ell on; those below it never cross it.
+        swaps += _cross_inversions(exps[ell - 1:], (1,))
         exps[ell - 1] += 1
     return NormalMonomial(ctx, ctx.q(-swaps), tuple(e % ctx.N for e in exps))
 
@@ -128,7 +127,7 @@ class NormalMonomial:
         if other.ctx != self.ctx:
             raise ContextMismatchError("monomials from different contexts")
         cross = _cross_inversions(self.exps, other.exps)
-        phase = self.phase * other.phase * self.ctx.q(-cross)
+        phase = (self.phase * other.phase).times_root(-2 * cross)
         exps = tuple((a + b) % self.ctx.N for a, b in zip(self.exps, other.exps))
         return NormalMonomial(self.ctx, phase, exps)
 
@@ -218,7 +217,7 @@ class AlgebraElement(ExactVector):
         out: dict[tuple[int, ...], CycloScalar] = {}
         for exps, coeff in self.terms.items():
             f = tuple(-e % N for e in exps)
-            out[f] = coeff.conj() * ctx.q(-_cross_inversions(f, f))
+            out[f] = coeff.conj().times_root(-2 * _cross_inversions(f, f))
         return AlgebraElement._raw(ctx, out)
 
     def __eq__(self, other):

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import gcalg
-from gcalg import (AlgebraContext, CycloScalar, apply_element, basis_indices, basis_state,
-                   eval_element, parse)
+from gcalg import (AlgebraContext, AlgebraElement, CycloScalar, apply_element, basis_indices,
+                   basis_state, eval_element, parse)
 from gcalg import axioms, cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
 from helpers import densify, ordered_basis_vector, random_element, scalar_from_json
@@ -56,6 +56,32 @@ def written_matrices(monkeypatch):
     return built
 
 
+@pytest.fixture
+def formed(monkeypatch):
+    """How many projectors and element products ``eval`` has formed."""
+    counts = {"projector": 0, "product": 0}
+    projector, product = expr.projector_element, AlgebraElement.__mul__
+
+    def counted_projector(ctx, k):
+        counts["projector"] += 1
+        return projector(ctx, k)
+
+    def counted_product(a, b):
+        counts["product"] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(expr, "projector_element", counted_projector)
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted_product)
+    return counts
+
+
+def budget_error(steps, budget) -> str:
+    # What eval writes when an evaluation would pass its work budget.
+    return (f"error: result too large: the evaluation would take {steps} steps (term pairs times "
+            f"2n plus coefficient entry pairs per product, N times 2n per E[k]), more than the "
+            f"budget of {budget}\n")
+
+
 def outcome(argv, capsys):
     # Exit code, stdout and stderr of one main() call, usage errors and --help included.
     try:
@@ -67,26 +93,31 @@ def outcome(argv, capsys):
 
 
 class TestParser:
+    # Each call with its exit code.  A flag its subcommand does not read,
+    # and a format it does not write, are usage errors.
     CALLS = [
-        ["verify", "--N", "3", "--n", "2", "--checks", "nosuch"],
-        ["verify", "--N", "3", "--n", "1", "--checks", "order", "commutation"],
-        ["verify", "--help"],
-        ["verify", "--N", "3", "--n", "1"],  # all checks again after a subset
-        ["verify", "--N", "3", "--n", "2", "--zeta-sign", "+"],
-        ["eval", "--N", "3", "--n", "2", "c[9]"],
-        ["eval", "--N", "2", "--n", "2", "--zeta-sign", "+", "--format", "json", "c[1] c[3]"],
-        ["eval", "--N", "3", "--n", "2", "c[1] |0,1>"],
-        ["matrix", "--N", "3", "--n", "1", "--format", "csv", "c[1] + c[2]"],
-        ["matrix", "--N", "3", "--n", "1", "--dense-cap", "0", "c[1]"],
-        ["gram", "--N", "2", "--n", "2", "--format", "json"],
-        ["gram", "--N", "2", "--n", "2"],
+        (["verify", "--N", "3", "--n", "2", "--checks", "nosuch"], 2),
+        (["verify", "--N", "3", "--n", "1", "--checks", "order", "commutation"], 0),
+        (["verify", "--help"], 0),
+        (["verify", "--N", "3", "--n", "1"], 0),  # all checks again after a subset
+        (["verify", "--N", "3", "--n", "2", "--zeta-sign", "+"], 2),
+        (["verify", "--N", "3", "--n", "1", "--format", "csv"], 2),
+        (["eval", "--N", "3", "--n", "2", "c[9]"], 1),
+        (["eval", "--N", "2", "--n", "2", "--zeta-sign", "+", "--format", "json", "c[1] c[3]"], 0),
+        (["eval", "--N", "3", "--n", "2", "c[1] |0,1>"], 0),
+        (["eval", "--N", "3", "--n", "1", "--seed", "1", "c[1]"], 2),
+        (["eval", "--N", "3", "--n", "1", "--dense-cap", "5", "c[1]"], 2),
+        (["matrix", "--N", "3", "--n", "1", "--format", "csv", "c[1] + c[2]"], 0),
+        (["matrix", "--N", "3", "--n", "1", "--dense-cap", "0", "c[1]"], 2),
+        (["gram", "--N", "2", "--n", "2", "--format", "json"], 0),
+        (["gram", "--N", "2", "--n", "2"], 0),
     ]
 
     def test_shared_parser_answers_as_a_fresh_one(self, monkeypatch, capsys):
-        shared = [outcome(argv, capsys) for argv in self.CALLS]
-        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 1, 0, 0, 0, 2, 0, 0]
+        shared = [outcome(argv, capsys) for argv, _ in self.CALLS]
+        assert [code for code, _, _ in shared] == [code for _, code in self.CALLS]
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-        for argv, got in zip(self.CALLS, shared):
+        for (argv, _), got in zip(self.CALLS, shared):
             assert outcome(argv, capsys) == got, argv
 
     def test_help_and_errors_go_to_the_streams_of_the_call(self, capsys):
@@ -325,7 +356,7 @@ class TestEval:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: result too large: ")
-        assert f"more than the budget of {expr.MAX_PRODUCT_WORK}" in err
+        assert f"more than the budget of {expr.MAX_EVAL_WORK}" in err
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_product_of_long_exponent_tuples_exits_1(self, n):
@@ -345,19 +376,54 @@ class TestEval:
         assert err == ""
         assert out == " + ".join(f"c[{i}]" for i in range(1024, 0, -1)) + "\n"
 
+    @pytest.mark.parametrize("text", [
+        " ".join(f"c[{i}]^255" for i in range(1, 2001)),
+        " ".join(f"c[{i % 2048 + 1}]" for i in range(14000)),
+    ])
+    def test_long_chain_of_small_products_exits_1(self, text):
+        # Each product here is one term by one, 2049 steps, but the chains once
+        # ran 8.2 s and about 4 s; the whole evaluation is refused at its 512th product.
+        code, out, err = run_process(["eval", "--N", "256", "--n", "1024", text], timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err == budget_error(512 * 2049, expr.MAX_EVAL_WORK)
+
     def test_term_budget_is_exact(self, monkeypatch, capsys):
         # (c_1 + c_2 + c_3)^2 at N = 3, n = 2 multiplies two elements of 3 terms
         # and 3 entries: 3 * 3 term pairs times 2n = 4, plus 3 * 3 entry pairs.
-        monkeypatch.setattr(expr, "MAX_PRODUCT_WORK", 45)
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 45)
         for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
             code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 0
-        monkeypatch.setattr(expr, "MAX_PRODUCT_WORK", 44)
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 44)
         for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
             code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 1 and out == ""
-            assert err == ("error: result too large: a product would take 45 steps (term pairs "
-                           "times 2n, plus coefficient entry pairs), more than the budget of 44\n")
+            assert err == budget_error(45, 44)
+
+    @pytest.mark.parametrize("text,steps,last", [
+        # At N = 3, n = 2 (2n = 4): E[1] 12; q c[3] 1*1*4 + 1*1 = 5; the square of
+        # c[1] + q c[3] (2 terms, 2 entries) 2*2*4 + 2*2 = 20; E[1] (3 terms,
+        # 3 entries) times the square (3 terms, 4 entries) 3*3*4 + 3*4 = 48; E[2] 12.
+        ("E[1] (c[1] + q c[3])^2 + E[2]", 97, "projector"),
+        # q c[3] 5; E[2] 12; c[1] + q c[3] times E[2] 2*3*4 + 2*3 = 30; zeta c[4]
+        # 5; that (6 terms, 6 entries) times 1 + zeta c[4] 6*2*4 + 6*2 = 60.
+        ("(c[1] + q c[3]) E[2] (1 + zeta c[4])", 112, "product"),
+    ])
+    def test_eval_budget_is_exact(self, text, steps, last, formed, monkeypatch, capsys):
+        # Products and projectors draw on one count; the step that would pass
+        # the budget is refused before it is formed, and every earlier one is formed.
+        argv = ["eval", "--N", "3", "--n", "2", text]
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps)
+        assert run(argv, capsys)[0] == 0
+        accepted = dict(formed)
+        formed.update(projector=0, product=0)
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps - 1)
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == budget_error(steps, steps - 1)
+        accepted[last] -= 1
+        assert formed == accepted
 
     def test_eval_error_exits_1(self, capsys):
         code, _, err = run(["eval", "--N", "3", "--n", "2", "c[9]"], capsys)
@@ -388,20 +454,21 @@ class TestEval:
                        "(the sum of every term's exponents), more than the budget of "
                        f"{expr.MAX_ACTION_LETTERS}\n")
 
-    def test_projector_budget_is_exact(self, monkeypatch, capsys):
-        # Two E[k] leaves at N = 3, n = 2 form 2 * 3 monomials of 4 exponents.
-        texts = ["E[1] + E[2]", "E[1] E[2]^-1 |0,0>", "<0,0| E[1]' E[2] |0,0>"]
-        monkeypatch.setattr(expr, "MAX_PROJECTOR_WORK", 24)
+    def test_projector_budget_is_exact(self, formed, monkeypatch, capsys):
+        # Two E[k] leaves at N = 3, n = 2 are charged N * 2n = 12 steps each;
+        # sums, powers to the first and adjoints are not charged.
+        texts = ["E[1] + E[2]", "(E[1] + E[2]^-1) |0,0>", "<0,0| E[1]' + E[2] |0,0>"]
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 24)
         for text in texts:
             code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 0
-        monkeypatch.setattr(expr, "MAX_PROJECTOR_WORK", 23)
-        monkeypatch.setattr(expr, "projector_element", None)  # refused before any is formed
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 23)
+        formed.update(projector=0, product=0)
         for text in texts:
             code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 1 and out == ""
-            assert err == ("error: result too large: the projectors would form 24 exponents "
-                           "(E[k] leaves times N times 2n), more than the budget of 23\n")
+            assert err == budget_error(24, 23)
+        assert formed == {"projector": 3, "product": 0}  # the second E[k] is never formed
 
     def test_projectors_over_the_budget_exit_1(self):
         # 64 projectors at N = 256, n = 1024: once 9 s and 656 KB of output.
@@ -410,9 +477,8 @@ class TestEval:
         code, out, err = run_process([*argv, text], timeout=30)
         assert code == 1
         assert out == ""
-        assert err == ("error: result too large: the projectors would form 33554432 exponents "
-                       "(E[k] leaves times N times 2n), more than the budget of "
-                       f"{expr.MAX_PROJECTOR_WORK}\n")
+        # Each E[k] is charged N * 2n = 524288 steps: the third is refused.
+        assert err == budget_error(3 * 524288, expr.MAX_EVAL_WORK)
         # One projector in the same context is inside the budget and prints its N terms.
         code, out, err = run_process([*argv, "E[1]"], timeout=30)
         assert code == 0
