@@ -59,16 +59,17 @@ MAX_PAREN_DEPTH = 200
 # and each projector is charged before it is formed: a product of elements
 # with s and t terms, whose coefficients store e and f entries in all, merges
 # s * t pairs of 2n-long exponent tuples and multiplies e * f pairs of
-# entries, so it is charged s * t * 2n + e * f steps; an E[k] leaf is N normal
+# entries, so it is charged s * t * 2n + e * f steps; an E[k] leaf is N
 # monomials of 2n exponents, so it is charged N * 2n.  The step that would
 # take the evaluation's count past this budget is refused, so a long chain of
 # small products is bounded as a whole, not product by product.  Leaves other
 # than E[k], sums and adjoints are not charged.  A chain or a power starts
 # from its first factor, so the identity is never a factor of a charged
-# product.  One E[k] at N = 256, n = 1024 (524288 steps) takes about 0.15 s;
-# a product step takes up to about 3.5 us at N = 255, n = 1, where zero tests
-# of merged coefficients are slow, so an evaluation near the budget can take
-# about 3.4 s.  The benchmark's evaluations take at most 758 steps.
+# product.  One E[k] at N = 256, n = 1024 (524288 steps) is formed in about
+# 15 ms; a product step takes up to about 3.5 us at N = 255, n = 1, where
+# zero tests of merged coefficients are slow, so an evaluation near the
+# budget can take about 3.4 s.  The benchmark's evaluations take at most 758
+# steps.
 MAX_EVAL_WORK = 2**20
 
 # Most letters an element may apply to a ket in a state or bra-ket

@@ -236,18 +236,19 @@ def projector_element(ctx: AlgebraContext, k: int) -> AlgebraElement:
 
     The unitary u = conj(zeta) q c_{2k-1} c_{2k}^{N-1} acts diagonally with
     eigenvalue q^{a_k} in the standard representation, so averaging its N
-    powers kills every component with a_k != 0.
+    powers kills every component with a_k != 0.  Those powers have a closed
+    form.  Ordering u^j moves the t-th c_{2k-1} left past the t - 1 blocks
+    c_{2k}^{N-1} before it, a factor q^{-(N-1)} = q per block, so
+    u^j = conj(zeta)^j q^{j(j+1)/2} c_{2k-1}^j c_{2k}^{-j}: phase
+    w^{j(j+1) - j zeta_exp}, exponents j and -j mod N.  The N powers have
+    distinct exponent vectors, so no terms merge.
     """
     if not 1 <= k <= ctx.n:
         raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
-    exps = [0] * ctx.num_generators
-    exps[2 * k - 2] = 1
-    exps[2 * k - 1] = ctx.N - 1
-    u = NormalMonomial(ctx, ctx.zeta(-1) * ctx.q(1), tuple(exps))
-    # The N powers of u have distinct exponent vectors, so no terms merge.
-    power = NormalMonomial.identity(ctx)
-    terms = {}
-    for _ in range(ctx.N):
-        terms[power.exps] = power.phase
-        power = power * u
-    return AlgebraElement._raw(ctx, terms)._scaled(Fraction(1, ctx.N))
+    N = ctx.N
+    head, tail = (0,) * (2 * k - 2), (0,) * (ctx.num_generators - 2 * k)
+    terms = {
+        head + (j, -j % N) + tail: ctx.omega(j * (j + 1 - ctx.zeta_exp))
+        for j in range(N)
+    }
+    return AlgebraElement._raw(ctx, terms)._scaled(Fraction(1, N))

@@ -158,6 +158,21 @@ def product_oracle(x: AlgebraElement, y: AlgebraElement) -> dict:
     return {exps: c for exps, c in sums.items() if not c.is_zero()}
 
 
+def projector_oracle(ctx: AlgebraContext, k: int) -> AlgebraElement:
+    """The oracle of ``projector_element``: the N powers of u formed by monomial products."""
+    exps = [0] * ctx.num_generators
+    exps[2 * k - 2] = 1
+    exps[2 * k - 1] = ctx.N - 1
+    u = NormalMonomial(ctx, ctx.zeta(-1) * ctx.q(1), tuple(exps))
+    # The N powers of u have distinct exponent vectors, so no terms merge.
+    power = NormalMonomial.identity(ctx)
+    terms = {}
+    for _ in range(ctx.N):
+        terms[power.exps] = power.phase
+        power = power * u
+    return AlgebraElement._raw(ctx, terms)._scaled(Fraction(1, ctx.N))
+
+
 def word_equals_element_everywhere(word: Word, element: AlgebraElement) -> bool:
     """Letter-by-letter action agrees with the element on every basis state."""
     ctx = word.ctx

@@ -12,6 +12,7 @@ from gcalg import (
     check_homomorphism,
     check_unitarity,
     check_zeta_root,
+    eval_element,
     eval_state,
     parse,
     print_canonical,
@@ -37,6 +38,22 @@ class TestZetaRootCheck:
         with pytest.raises(ValueError):
             check_zeta_root(3, 1)
 
+    def test_each_failure_names_its_identity(self, monkeypatch):
+        faults.inject(monkeypatch, "zeta_times_q")
+        assert check_zeta_root(3).counterexample == "zeta^2 = 1 differs from q"
+        monkeypatch.undo()
+        # zeta negated: its square is still q, but zeta^(N^2) = -1.
+        monkeypatch.setattr(
+            AlgebraContext, "zeta", lambda ctx, k=1: ctx.omega((ctx.zeta_exp + ctx.N) * k)
+        )
+        assert check_zeta_root(3).counterexample == "zeta^(N^2) = -1 differs from 1"
+        monkeypatch.undo()
+        # omega(1) = q: the rejected plus root then reads as an N^2-th root of 1.
+        monkeypatch.setattr(AlgebraContext, "omega", lambda ctx, k=1: ctx.q(k))
+        assert check_zeta_root(3).counterexample == (
+            "rejected root (+exp(i*pi/N)) has N^2-th power 1, expected -1"
+        )
+
 
 class TestSuite:
     @pytest.mark.parametrize("N,n", [(2, 1), (3, 2)])
@@ -52,15 +69,20 @@ class TestSuite:
             assert all(r.passed for r in run_suite(ctx))
 
     def test_full_range_passes(self):
-        # Exhaustive exact verification across the advertised size range.
-        for N in range(2, 9):
-            for n in range(1, 9):
-                if N**n > 512:
-                    continue
-                ctx = AlgebraContext(N, n)
-                reports = run_suite(ctx)
-                failed = [r for r in reports if not r.passed]
-                assert not failed, (N, n, [(r.name, r.counterexample) for r in failed])
+        # Exhaustive exact verification across the advertised size range,
+        # under every admissible root.
+        contexts = [
+            AlgebraContext(N, n, zeta_exp)
+            for N in range(2, 9)
+            for n in range(1, 9)
+            if N**n <= 729
+            for zeta_exp in admissible_zeta_exps(N)
+        ]
+        assert len(contexts) == 49
+        for ctx in contexts:
+            reports = run_suite(ctx)
+            failed = [(r.name, r.counterexample) for r in reports if not r.passed]
+            assert not failed, (ctx, failed)
 
     def test_selection(self):
         ctx = AlgebraContext(2, 1)
@@ -329,11 +351,13 @@ VERDICT_MATRIX = {
     "odd_without_q_ak":          ("P P P F P P P F F", "P F F F P P P F F"),
     "even_long_head":            ("P P P F P P P P F", "P F F F P P P P F"),
     "odd_zeta_squared":          ("P P P P F F P F P", "P F F P F F P F F"),
+    "even_saturates":            ("P F F F P P P P F", "P F F F P P P P F"),
     "doubled_even":              ("P F F F F F F F F", "P F F F F F F F F"),
     "conjugated_amplitudes":     ("P P P P P P P P F", "P P P P P P P P F"),
     "doubled_raise_digit":       ("P F F F F F F F F", "P F F F F F F F F"),
     "projector_keeps_digit_one": ("P P P P P F P P P", "P P P P P F P P P"),
     "cross_inversions_plus_one": ("P P P P P P P P F", "P P P P P P P P F"),
+    "zeta_times_q":              ("F P P P P P P P P", "F P P P P P P P P"),
 }
 
 
@@ -346,6 +370,8 @@ class TestFaultCatalogue:
         ctx = AlgebraContext(N, n, zeta_exp)
         ground = rep.ground_state(ctx)
         assert set(VERDICT_MATRIX) == set(faults.FAULTS)
+        columns = zip(*(verdicts[N == 4].split() for verdicts in VERDICT_MATRIX.values()))
+        assert all("F" in column for column in columns)  # every check catches a fault
         for fault, verdicts in VERDICT_MATRIX.items():
             with monkeypatch.context() as patch:
                 faults.inject(patch, fault)
@@ -363,10 +389,10 @@ class TestFaultCatalogue:
     @pytest.mark.parametrize("N,n,zeta_exp", SUITE_CONTEXTS)
     def test_counterexamples_replay_through_eval(self, N, n, zeta_exp, monkeypatch):
         # Each side of "... on |label>: X differs from Y" is a state in the
-        # expression language: it evaluates, prints back as itself, and the
-        # two sides differ.  The sides are replayed after the fault is
-        # undone, since a state of several terms prints as an element
-        # applied to Omega.
+        # expression language, and each side of "zeta^... = X differs from Y"
+        # a scalar: it evaluates, prints back as itself, and the two sides
+        # differ.  The sides are replayed after the fault is undone, since a
+        # state of several terms prints as an element applied to Omega.
         ctx = AlgebraContext(N, n, zeta_exp)
         details = []
         for fault in faults.FAULTS:
@@ -374,10 +400,14 @@ class TestFaultCatalogue:
                 faults.inject(patch, fault)
                 details += [r.counterexample for r in run_suite(ctx) if not r.passed]
         witnesses = [detail for detail in details if " differs from " in detail]
-        assert witnesses
+        assert any(detail.startswith("zeta^2 = ") for detail in witnesses)
         for detail in witnesses:
             match = re.fullmatch(r"[^>]* on \|\([0-9, ]*\)>: (.*) differs from (.*)", detail)
-            assert match, detail
-            states = [eval_state(parse(side), ctx) for side in match.groups()]
-            assert [print_canonical(state) for state in states] == list(match.groups())
-            assert states[0] != states[1], detail
+            if match:
+                values = [eval_state(parse(side), ctx) for side in match.groups()]
+            else:
+                match = re.fullmatch(r"zeta\^\S* = (.*) differs from (.*)", detail)
+                assert match, detail
+                values = [eval_element(parse(side), ctx) for side in match.groups()]
+            assert [print_canonical(value) for value in values] == list(match.groups())
+            assert values[0] != values[1], detail

@@ -19,6 +19,7 @@ from gcalg import (AlgebraContext, AlgebraElement, CycloScalar, apply_element, b
                    basis_state, eval_element, parse)
 from gcalg import axioms, cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
+import faults
 from helpers import densify, ordered_basis_vector, random_element, scalar_from_json
 
 
@@ -148,6 +149,20 @@ class TestVerify:
         code, out, _ = run(["verify", "--N", "3", "--n", "2"], capsys)
         assert code == 0
         assert "9/9 checks passed" in out
+
+    def test_failing_suite_names_each_failure(self, monkeypatch, capsys):
+        faults.inject(monkeypatch, "even_saturates")
+        code, out, _ = run(["verify", "--N", "3", "--n", "2"], capsys)
+        assert code == 1
+        *lines, total = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(axioms.ALL_CHECKS)
+        failed = {line.split(":")[0]: line for line in lines if ": FAIL (" in line}
+        assert set(failed) == {"unitarity", "order", "commutation", "homomorphism"}
+        assert all(line.endswith(")") for line in failed.values())
+        assert failed["unitarity"] == "unitarity: FAIL (c_2 does not permute the basis labels)"
+        assert failed["order"] == "order: FAIL (c_2^N vs 1 on |(0, 0)>: |2,0> differs from |0,0>)"
+        assert all(line.endswith(": PASS") for line in lines if line not in failed.values())
+        assert total == "5/9 checks passed"
 
     def test_json_report(self, capsys):
         code, out, _ = run(["verify", "--N", "2", "--n", "1", "--format", "json"], capsys)

@@ -10,6 +10,7 @@ from gcalg import (
     ContextMismatchError,
     NormalMonomial,
     Word,
+    admissible_zeta_exps,
     dense_matrix,
     normal_order,
     print_canonical,
@@ -22,6 +23,7 @@ from helpers import (
     bubble_product_oracle,
     densify,
     product_oracle,
+    projector_oracle,
     random_element,
     random_monomial,
     random_unit_element,
@@ -341,3 +343,22 @@ class TestProjectorElement:
                 e = projector_element(ctx, k)
                 assert e * e == e
                 assert e.adjoint() == e
+
+    def test_closed_form_keeps_the_stored_form_of_monomial_powers(self):
+        # Same keys in the same order, same coefficient maps, same value types.
+        def stored(x):
+            return [
+                (exps, [(e, v, type(v)) for e, v in coeff.coeffs.items()])
+                for exps, coeff in x.terms.items()
+            ]
+
+        cases = 0
+        for N in range(2, 41):
+            for zeta_exp in admissible_zeta_exps(N):
+                for n in range(1, 4):
+                    ctx = AlgebraContext(N, n, zeta_exp)
+                    for k in range(1, n + 1):
+                        got = stored(projector_element(ctx, k))
+                        assert got == stored(projector_oracle(ctx, k)), (N, n, zeta_exp, k)
+                        cases += 1
+        assert cases == 354
