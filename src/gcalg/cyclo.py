@@ -21,7 +21,9 @@ for display and sanity oracles, never for equality decisions.
 :class:`ExactVector` is the one sparse vector over these scalars: a map from
 keys to nonzero scalars.  Algebra elements (keyed by exponent vectors) and
 qudit states (keyed by basis labels) are its subclasses, and ``sum_terms``
-is the one place where contributions are summed and zero sums pruned.
+is the one place where contributions are summed and zero sums pruned: a
+product sums its term pairs with it, ``+`` merges one operand into a copy of
+the other, and ``eval``'s sum node merges each child into one running map.
 ``power_by_squaring`` serves every ``**`` in the package.
 """
 
@@ -360,17 +362,22 @@ class CycloScalar:
         return f"CycloScalar({self.order}, {{{body}}})"
 
 
-def sum_terms(pairs) -> dict:
+def sum_terms(pairs, into=None) -> dict:
     """Sum (key, nonzero scalar) contributions into a map with no zero values.
 
-    All contributions to a key are added, in order, before that key is
-    zero-tested.  Stored maps are unreduced, so pruning a partial sum the
-    moment it vanishes would change the stored (and printed) form of the
-    final sum.  A key with a single contribution is not tested: the ring is
-    a field, and the contribution is nonzero.  Keys keep the order in which
-    they first appear.
+    The map is ``into``, merged in place, or a new one.  All contributions
+    to a key, the one ``into`` held included, are added in order before
+    that key is zero-tested.  Stored maps are unreduced, so pruning a
+    partial sum the moment it vanishes would change the stored (and
+    printed) form of the final sum.  A key with a single contribution is
+    not tested: the ring is a field, and the contribution is nonzero.  Keys
+    keep the order in which they first appear; a key pruned by an earlier
+    call and summed into again goes to the end.  ``x + y`` is this call on
+    ``y``'s terms and a copy of ``x``'s map, so merging the children of a sum
+    into one map, one call per child, is the left fold out = out + child
+    without a copy per child: the same stored forms and key order.
     """
-    out = {}
+    out = {} if into is None else into
     summed = set()
     for key, value in pairs:
         if key in out:
@@ -425,7 +432,7 @@ class ExactVector:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_ctx(other)
-        return self._raw(self.ctx, sum_terms((*self.terms.items(), *other.terms.items())))
+        return self._raw(self.ctx, sum_terms(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):

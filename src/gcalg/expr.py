@@ -29,7 +29,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar, power_by_squaring
+from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar, power_by_squaring, sum_terms
+from .cyclo import cyclotomic_polynomial
 from .rep import QuditState, apply_element, basis_state, scalar_product
 from .symbolic import AlgebraElement, projector_element
 
@@ -55,21 +56,25 @@ __all__ = [
 # recursion limit; past this depth a positioned ParseError is raised instead.
 MAX_PAREN_DEPTH = 200
 
-# Most steps one evaluation of an operator expression may take.  Each product
-# and each projector is charged before it is formed: a product of elements
-# with s and t terms, whose coefficients store e and f entries in all, merges
-# s * t pairs of 2n-long exponent tuples and multiplies e * f pairs of
-# entries, so it is charged s * t * 2n + e * f steps; an E[k] leaf is N
-# monomials of 2n exponents, so it is charged N * 2n.  The step that would
-# take the evaluation's count past this budget is refused, so a long chain of
-# small products is bounded as a whole, not product by product.  Leaves other
-# than E[k], sums and adjoints are not charged.  A chain or a power starts
-# from its first factor, so the identity is never a factor of a charged
-# product.  One E[k] at N = 256, n = 1024 (524288 steps) is formed in about
-# 15 ms; a product step takes up to about 3.5 us at N = 255, n = 1, where
-# zero tests of merged coefficients are slow, so an evaluation near the
-# budget can take about 3.4 s.  The benchmark's evaluations take at most 758
-# steps.
+# Most steps one evaluation of an operator expression may take.  Every node is
+# charged before it is formed, at what forming it walks.  A leaf builds one
+# 2n-long exponent tuple, 2n steps, and so does the identity each power ^k is
+# handed; an E[k] leaf builds N of them, N * 2n.  A product of elements with
+# s and t terms, whose coefficients store e and f entries in all, merges
+# s * t pairs of exponent tuples and multiplies e * f pairs of entries,
+# s * t * 2n + e * f.  An adjoint of s terms and e entries walks s exponent
+# tuples and conjugates e entries, s * 2n + e.  A sum merges each child's t
+# terms into its running map, t * 2n, and zero-tests every coefficient the
+# child adds to: the entries of both operands times the nonzero coefficients
+# of Phi_2N, the steps of each row ``CycloScalar.is_zero`` reduces.  The step
+# that would take the evaluation's count past this budget is refused, so a
+# long chain or sum of small nodes is bounded as a whole, not node by node.
+# A chain or a power starts from its first factor, so the identity is never a
+# factor of a charged product.  A step takes from about 0.01 us (a leaf or a
+# merge at n = 1024) to about 3.5 us (a product at N = 255, n = 1, where zero
+# tests of merged coefficients are slow), so an evaluation near the budget
+# takes from about 10 ms to about 3.4 s.  The benchmark's evaluations take at
+# most 850 steps.
 MAX_EVAL_WORK = 2**20
 
 # Most letters an element may apply to a ket in a state or bra-ket
@@ -385,30 +390,32 @@ class _Evaluation:
     def __init__(self, ctx: AlgebraContext):
         self.ctx = ctx
         self.work = 0
+        # The nonzero coefficients of Phi_2N: the steps of one row of a zero test.
+        self.zero_test_row = sum(map(bool, cyclotomic_polynomial(ctx.order)))
 
     def charge(self, steps: int) -> None:
         self.work += steps
         if self.work > MAX_EVAL_WORK:
             raise EvalError(
-                f"result too large: the evaluation would take {self.work} steps (term pairs "
-                "times 2n plus coefficient entry pairs per product, N times 2n per E[k]), "
-                f"more than the budget of {MAX_EVAL_WORK}"
+                f"result too large: the evaluation would take {self.work} steps (2n per leaf or "
+                "power, N * 2n per E[k], term pairs * 2n + coefficient entry pairs per product, "
+                "terms * 2n + coefficient entries per adjoint, terms * 2n + merged entries * "
+                f"nonzero terms of Phi_2N per summand), more than the budget of {MAX_EVAL_WORK}"
             )
 
     def operator(self, node: Node) -> AlgebraElement:
         ctx = self.ctx
         kind = node.kind
-        if kind == "rational":
-            return AlgebraElement.from_scalar(ctx, node.value)
-        if kind == "q":
-            return AlgebraElement.from_scalar(ctx, ctx.q())
-        if kind == "zeta":
-            return AlgebraElement.from_scalar(ctx, ctx.zeta())
+        if kind in ("rational", "q", "zeta"):
+            self.charge(2 * ctx.n)
+            value = node.value if kind == "rational" else getattr(ctx, kind)()
+            return AlgebraElement.from_scalar(ctx, value)
         if kind == "gen":
             if not 1 <= node.value <= ctx.num_generators:
                 raise EvalError(
                     f"generator index {node.value} out of range 1..{ctx.num_generators}"
                 )
+            self.charge(2 * ctx.n)
             return AlgebraElement.generator(ctx, node.value)
         if kind == "proj":
             if not 1 <= node.value <= ctx.n:
@@ -422,9 +429,20 @@ class _Evaluation:
             while node.kind in ("pow", "dagger"):
                 chain.append(node)
                 node = node.children[0]
+            # A power is formed as AlgebraElement.__pow__ forms it, but each of its
+            # products is charged: coefficients can double in length and terms
+            # multiply per squaring, so a huge exponent would otherwise run without
+            # bound on a result never printed.  A negative power is the adjoint of
+            # the positive one.
             out = self.operator(node)
             for op in reversed(chain):
-                out = self.power(out, op.value) if op.kind == "pow" else out.adjoint()
+                if op.kind == "pow":
+                    self.charge(2 * ctx.n)  # for the identity power_by_squaring is handed
+                    one = AlgebraElement.one(ctx)
+                    out = power_by_squaring(out, abs(op.value), one, self.product)
+                if op.kind == "dagger" or op.value < 0:
+                    self.charge(len(out.terms) * 2 * ctx.n + _stored_size(out))
+                    out = out.adjoint()
             return out
         if kind == "product":
             out = self.operator(node.children[0])
@@ -432,23 +450,16 @@ class _Evaluation:
                 out = self.product(out, self.operator(child))
             return out
         if kind == "sum":
-            # One map takes every child in turn, as the fold out = out + child
-            # would: a key a child adds to is summed and then zero-tested, so
-            # stored forms and key order match the fold without re-merging the
-            # running sum per child.
-            terms = {}
+            # Each child is merged into one running map, as out = out + child
+            # would merge it; the entries of every coefficient it adds to are
+            # charged for the zero test that follows.
+            out = {}
             for child in node.children:
-                summed = []
-                for key, value in self.operator(child).terms.items():
-                    if key in terms:
-                        terms[key] = terms[key] + value
-                        summed.append(key)
-                    else:
-                        terms[key] = value
-                for key in summed:
-                    if terms[key].is_zero():
-                        del terms[key]
-            return AlgebraElement._raw(ctx, terms)
+                x = self.operator(child).terms
+                tested = sum(len(out[k].coeffs) + len(c.coeffs) for k, c in x.items() if k in out)
+                self.charge(len(x) * 2 * ctx.n + tested * self.zero_test_row)
+                sum_terms(x.items(), out)
+            return AlgebraElement._raw(ctx, out)
         raise EvalError(f"expected an operator expression, found a {kind} node")
 
     def product(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -459,13 +470,6 @@ class _Evaluation:
         out = a * b
         check_digit_limit([v for coeff in out.terms.values() for v in coeff.coeffs.values()])
         return out
-
-    def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
-        # x^k as AlgebraElement.__pow__ forms it, but every product is charged:
-        # coefficients can double in length and terms multiply per squaring, so
-        # a huge k would otherwise run without bound on a result never printed.
-        out = power_by_squaring(x, abs(k), AlgebraElement.one(self.ctx), self.product)
-        return out.adjoint() if k < 0 else out
 
 
 def _eval_label(node: Node, ctx: AlgebraContext) -> QuditState:
@@ -503,9 +507,10 @@ def _act(node: Node, ket: QuditState) -> QuditState:
 def eval_element(ast: Node, ctx: AlgebraContext) -> AlgebraElement:
     """Evaluate an operator expression to an exact algebra element.
 
-    Each product and each ``E[k]`` leaf is charged its steps before it is
-    formed, against one budget per call, ``MAX_EVAL_WORK``; the one that
-    would take the count past it raises EvalError instead.
+    Every node (leaf, ``E[k]``, power, product, adjoint and summand) is
+    charged its steps before it is formed, against one budget per call,
+    ``MAX_EVAL_WORK``; the one that would take the count past it raises
+    EvalError instead.
     """
     if ast.kind in _NOT_OPERATORS:
         raise EvalError(f"expected an element expression, got {_what(ast)}")

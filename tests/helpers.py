@@ -232,6 +232,29 @@ def two_multiply_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement
     ))
 
 
+def merge_loop_sum(ctx: AlgebraContext, parts) -> AlgebraElement:
+    """The sum of ``parts`` by the merge loop that ``eval``'s sum node once ran
+    itself, before it merged each child through ``sum_terms``; kept as the
+    oracle of that node's stored forms and key order."""
+    # One map takes every child in turn, as the fold out = out + child
+    # would: a key a child adds to is summed and then zero-tested, so
+    # stored forms and key order match the fold without re-merging the
+    # running sum per child.
+    terms = {}
+    for child in parts:
+        summed = []
+        for key, value in child.terms.items():
+            if key in terms:
+                terms[key] = terms[key] + value
+                summed.append(key)
+            else:
+                terms[key] = value
+        for key in summed:
+            if terms[key].is_zero():
+                del terms[key]
+    return AlgebraElement._raw(ctx, terms)
+
+
 def identity_fold_eval(node, ctx: AlgebraContext) -> AlgebraElement:
     """An operator expression evaluated with every chain and power starting from
     ``AlgebraElement.one``, each product by ``two_multiply_product``.

@@ -59,28 +59,31 @@ def written_matrices(monkeypatch):
 
 @pytest.fixture
 def formed(monkeypatch):
-    """How many projectors and element products ``eval`` has formed."""
-    counts = {"projector": 0, "product": 0}
-    projector, product = expr.projector_element, AlgebraElement.__mul__
+    """How many projectors, element products, adjoints and sum merges ``eval`` has formed."""
+    counts = {"projector": 0, "product": 0, "adjoint": 0, "merge": 0}
 
-    def counted_projector(ctx, k):
-        counts["projector"] += 1
-        return projector(ctx, k)
+    def count(owner, name, kind):
+        original = getattr(owner, name)
 
-    def counted_product(a, b):
-        counts["product"] += 1
-        return product(a, b)
+        def counted(*args):
+            counts[kind] += 1
+            return original(*args)
 
-    monkeypatch.setattr(expr, "projector_element", counted_projector)
-    monkeypatch.setattr(AlgebraElement, "__mul__", counted_product)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(expr, "projector_element", "projector")
+    count(AlgebraElement, "__mul__", "product")
+    count(AlgebraElement, "adjoint", "adjoint")
+    count(expr, "sum_terms", "merge")
     return counts
 
 
 def budget_error(steps, budget) -> str:
     # What eval writes when an evaluation would pass its work budget.
-    return (f"error: result too large: the evaluation would take {steps} steps (term pairs times "
-            f"2n plus coefficient entry pairs per product, N times 2n per E[k]), more than the "
-            f"budget of {budget}\n")
+    return (f"error: result too large: the evaluation would take {steps} steps (2n per leaf or "
+            "power, N * 2n per E[k], term pairs * 2n + coefficient entry pairs per product, "
+            "terms * 2n + coefficient entries per adjoint, terms * 2n + merged entries * nonzero "
+            f"terms of Phi_2N per summand), more than the budget of {budget}\n")
 
 
 def outcome(argv, capsys):
@@ -384,55 +387,82 @@ class TestEval:
         assert err.startswith("error: result too large: ")
 
     def test_long_written_out_sum_is_fast(self):
-        # Once 14.3 s: every child re-merged the running sum of 2n-long keys.
-        text = "+".join(f"c[{i}]" for i in range(1, 1025))
-        code, out, err = run_process(["eval", "--N", "2", "--n", "1024", text], timeout=30)
+        # c[1]+...+c[1024] at n = 1024 once took 14.3 s: every child re-merged the
+        # running sum of 2n-long keys.  Each summand is charged 2n for its leaf and
+        # 2n for its one term merged, so 256 of them take the whole budget, and
+        # the 257th leaf is refused.
+        argv = ["eval", "--N", "2", "--n", "1024"]
+        code, out, err = run_process([*argv, "+".join(f"c[{i}]" for i in range(1, 257))],
+                                     timeout=30)
         assert code == 0
         assert err == ""
-        assert out == " + ".join(f"c[{i}]" for i in range(1024, 0, -1)) + "\n"
+        assert out == " + ".join(f"c[{i}]" for i in range(256, 0, -1)) + "\n"
+        code, out, err = run_process([*argv, "+".join(f"c[{i}]" for i in range(1, 1025))],
+                                     timeout=30)
+        assert code == 1
+        assert out == ""
+        assert err == budget_error(256 * 4096 + 2048, expr.MAX_EVAL_WORK)
 
-    @pytest.mark.parametrize("text", [
-        " ".join(f"c[{i}]^255" for i in range(1, 2001)),
-        " ".join(f"c[{i % 2048 + 1}]" for i in range(14000)),
+    @pytest.mark.parametrize("text,steps", [
+        # Each factor c[i]^255: its leaf and its power 2n each, and the power's 14
+        # products; after 30 factors and their 29 products, the 31st factor's
+        # leaf, power and first product, which is refused.
+        pytest.param(" ".join(f"c[{i}]^255" for i in range(1, 2001)),
+                     30 * (2 * 2048 + 14 * 2049) + 29 * 2049 + 2 * 2048 + 2049,
+                     id=" ".join(f"c[{i}]^255" for i in range(1, 2001))),
+        # 256 leaves and their 255 products, then the 257th leaf, which is refused.
+        pytest.param(" ".join(f"c[{i % 2048 + 1}]" for i in range(14000)),
+                     256 * 2048 + 255 * 2049 + 2048,
+                     id=" ".join(f"c[{i % 2048 + 1}]" for i in range(14000))),
     ])
-    def test_long_chain_of_small_products_exits_1(self, text):
+    def test_long_chain_of_small_products_exits_1(self, text, steps):
         # Each product here is one term by one, 2049 steps, but the chains once
-        # ran 8.2 s and about 4 s; the whole evaluation is refused at its 512th product.
+        # ran 8.2 s and about 4 s; the whole evaluation is refused, not any one product.
         code, out, err = run_process(["eval", "--N", "256", "--n", "1024", text], timeout=30)
         assert code == 1
         assert out == ""
-        assert err == budget_error(512 * 2049, expr.MAX_EVAL_WORK)
+        assert err == budget_error(steps, expr.MAX_EVAL_WORK)
 
-    def test_term_budget_is_exact(self, monkeypatch, capsys):
+    def test_term_budget_is_exact(self, formed, monkeypatch, capsys):
         # (c_1 + c_2 + c_3)^2 at N = 3, n = 2 multiplies two elements of 3 terms
-        # and 3 entries: 3 * 3 term pairs times 2n = 4, plus 3 * 3 entry pairs.
-        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 45)
-        for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
+        # and 3 entries: 3 * 3 term pairs times 2n = 4, plus 3 * 3 entry pairs, 45
+        # steps.  Before it, each sum is charged 3 leaves and 3 one-term summands,
+        # 24, and the power 4.
+        for text, before in [("(c[1]+c[2]+c[3])^2", 28),
+                             ("(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])", 48)]:
+            monkeypatch.setattr(expr, "MAX_EVAL_WORK", before + 45)
             code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 0
-        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 44)
-        for text in ["(c[1]+c[2]+c[3])^2", "(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])"]:
+            monkeypatch.setattr(expr, "MAX_EVAL_WORK", before + 44)
+            formed.update(product=0)
             code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
             assert code == 1 and out == ""
-            assert err == budget_error(45, 44)
+            assert err == budget_error(before + 45, before + 44)
+            assert formed["product"] == 0
 
     @pytest.mark.parametrize("text,steps,last", [
-        # At N = 3, n = 2 (2n = 4): E[1] 12; q c[3] 1*1*4 + 1*1 = 5; the square of
-        # c[1] + q c[3] (2 terms, 2 entries) 2*2*4 + 2*2 = 20; E[1] (3 terms,
-        # 3 entries) times the square (3 terms, 4 entries) 3*3*4 + 3*4 = 48; E[2] 12.
-        ("E[1] (c[1] + q c[3])^2 + E[2]", 97, "projector"),
-        # q c[3] 5; E[2] 12; c[1] + q c[3] times E[2] 2*3*4 + 2*3 = 30; zeta c[4]
-        # 5; that (6 terms, 6 entries) times 1 + zeta c[4] 6*2*4 + 6*2 = 60.
-        ("(c[1] + q c[3]) E[2] (1 + zeta c[4])", 112, "product"),
+        # At N = 3, n = 2 (2n = 4) each leaf and each power is charged 4.  c[1] + q c[3]:
+        # c[1] 4, merged 4; q 4, c[3] 4, q c[3] 1*1*4 + 1*1 = 5, merged 4; 25 in all.
+        # E[1] 12; that sum 25; the power 4 and the square (2 terms, 2 entries)
+        # 2*2*4 + 2*2 = 20; E[1] (3 terms, 3 entries) times the square (3 terms,
+        # 4 entries) 3*3*4 + 3*4 = 48; its 9 terms merged 36; E[2] 12 and its 3 terms
+        # merged 12, no key shared.
+        ("E[1] (c[1] + q c[3])^2 + E[2]", 169, "merge"),
+        # c[1] + q c[3] 25; E[2] 12; their product 2*3*4 + 2*3 = 30; 1 + zeta c[4]
+        # 25; that (6 terms, 6 entries) times 1 + zeta c[4] 6*2*4 + 6*2 = 60.
+        ("(c[1] + q c[3]) E[2] (1 + zeta c[4])", 152, "product"),
+        # c[1] + q c[3] 25; the power 4 and the square 20; its adjoint (3 terms,
+        # 4 entries) 3*4 + 4 = 16.
+        ("(c[1] + q c[3])^-2", 65, "adjoint"),
     ])
     def test_eval_budget_is_exact(self, text, steps, last, formed, monkeypatch, capsys):
-        # Products and projectors draw on one count; the step that would pass
-        # the budget is refused before it is formed, and every earlier one is formed.
+        # Every node draws on one count; the step that would pass the budget is
+        # refused before it is formed, and every earlier one is formed.
         argv = ["eval", "--N", "3", "--n", "2", text]
         monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps)
         assert run(argv, capsys)[0] == 0
         accepted = dict(formed)
-        formed.update(projector=0, product=0)
+        formed.update(projector=0, product=0, adjoint=0, merge=0)
         monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps - 1)
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
@@ -470,20 +500,24 @@ class TestEval:
                        f"{expr.MAX_ACTION_LETTERS}\n")
 
     def test_projector_budget_is_exact(self, formed, monkeypatch, capsys):
-        # Two E[k] leaves at N = 3, n = 2 are charged N * 2n = 12 steps each;
-        # sums, powers to the first and adjoints are not charged.
-        texts = ["E[1] + E[2]", "(E[1] + E[2]^-1) |0,0>", "<0,0| E[1]' + E[2] |0,0>"]
-        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 24)
-        for text in texts:
-            code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
-            assert code == 0
-        monkeypatch.setattr(expr, "MAX_EVAL_WORK", 23)
-        formed.update(projector=0, product=0)
-        for text in texts:
-            code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
+        # An E[k] leaf at N = 3, n = 2 is charged N * 2n = 12 steps.  Before the
+        # second, each text is charged E[1] 12 and its 3 terms merged into the sum,
+        # 3 * 2n = 12; the third text also E[1]'s adjoint, 3 * 2n + 3 entries = 15.
+        texts = {"E[1] + E[2]": 36, "(E[1] + E[2]^-1) |0,0>": 36,
+                 "<0,0| E[1]' + E[2] |0,0>": 51}
+        for text, steps in texts.items():
+            argv = ["eval", "--N", "3", "--n", "2", text]
+            monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps)
+            formed.update(projector=0)
+            run(argv, capsys)
+            assert formed["projector"] == 2
+            monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps - 1)
+            formed.update(projector=0)
+            code, out, err = run(argv, capsys)
             assert code == 1 and out == ""
-            assert err == budget_error(24, 23)
-        assert formed == {"projector": 3, "product": 0}  # the second E[k] is never formed
+            assert err == budget_error(steps, steps - 1)
+            assert formed["projector"] == 1  # the second E[k] is never formed
+        assert formed["product"] == 0
 
     def test_projectors_over_the_budget_exit_1(self):
         # 64 projectors at N = 256, n = 1024: once 9 s and 656 KB of output.
@@ -492,7 +526,8 @@ class TestEval:
         code, out, err = run_process([*argv, text], timeout=30)
         assert code == 1
         assert out == ""
-        # Each E[k] is charged N * 2n = 524288 steps: the third is refused.
+        # Each E[k] is charged N * 2n = 524288 steps, and merging its 256 terms
+        # into the sum 256 * 2n: the second E[k] is refused.
         assert err == budget_error(3 * 524288, expr.MAX_EVAL_WORK)
         # One projector in the same context is inside the budget and prints its N terms.
         code, out, err = run_process([*argv, "E[1]"], timeout=30)

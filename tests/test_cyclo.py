@@ -18,6 +18,7 @@ from gcalg.cyclo import (
     admissible_zeta_exps,
     cyclotomic_polynomial,
     power_by_squaring,
+    sum_terms,
 )
 from helpers import literal_is_zero, random_element, random_scalar, scalar_from_json
 
@@ -278,6 +279,48 @@ class TestPowerBySquaring:
             for k in range(10):
                 assert base**k == literal
                 literal = mul(literal, base)
+
+
+class TestSumTerms:
+    # Order 6: q = w^2 is a primitive cube root of unity, so 1 + q + q^2 is
+    # zero, though its stored map has three entries and only a zero test sees it.
+    UNREDUCED_ZERO = CycloScalar(6, {0: 1, 2: 1, 4: 1})
+
+    def test_keys_keep_their_first_seen_order(self):
+        one, w = CycloScalar.one(6), CycloScalar.root(6, 1)
+        out = sum_terms([("b", one), ("a", w), ("c", w), ("b", w)])
+        assert list(out) == ["b", "a", "c"]
+        assert _stored(out["b"]) == [(0, int, 1), (1, int, 1)]
+
+    def test_every_contribution_is_summed_before_the_zero_test(self):
+        # 1 + q + q^2 vanishes, but a later contribution to the key keeps its
+        # stored entries, and the key keeps its place.
+        one, q = CycloScalar.one(6), CycloScalar.root(6, 2)
+        out = sum_terms([("a", one), ("a", q), ("b", q), ("a", q * q), ("a", one)])
+        assert list(out) == ["a", "b"]
+        assert _stored(out["a"]) == [(0, int, 2), (2, int, 1), (4, int, 1)]
+
+    def test_merging_into_a_map(self):
+        one, w = CycloScalar.one(6), CycloScalar.root(6, 1)
+        into = {"a": one, "b": w}
+        assert sum_terms([("c", w), ("a", -one)], into) is into
+        assert list(into) == ["b", "c"]
+        # A key pruned by an earlier call and summed into again goes to the end.
+        sum_terms([("a", w), ("b", w)], into)
+        assert list(into) == ["b", "c", "a"]
+        assert _stored(into["b"]) == [(1, int, 2)] and _stored(into["a"]) == [(1, int, 1)]
+
+    def test_only_keys_summed_in_the_call_are_zero_tested(self):
+        one = CycloScalar.one(6)
+        # A single contribution is not tested, and neither is a key of the map
+        # merged into that the call does not add to.
+        into = sum_terms([("z", self.UNREDUCED_ZERO), ("a", one)])
+        assert list(into) == ["z", "a"]
+        sum_terms([("a", one), ("b", one)], into)
+        assert list(into) == ["z", "a", "b"]
+        # Once the call adds to it, the key is summed and tested.
+        sum_terms([("z", one), ("z", -one)], into)
+        assert list(into) == ["a", "b"]
 
 
 def _general_product(x, y):

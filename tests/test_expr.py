@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import importlib.util
+import itertools
 import operator
 import random
 import sys
@@ -29,7 +30,8 @@ from gcalg import (
     print_canonical,
     projector_element,
 )
-from helpers import identity_fold_eval, random_element, random_state
+from gcalg import expr
+from helpers import identity_fold_eval, merge_loop_sum, random_element, random_state
 
 
 @functools.cache
@@ -332,7 +334,8 @@ class TestSums:
     def test_sum_matches_the_pairwise_fold(self):
         # Children that cancel, plainly (x and -x) or only modulo Phi_2N
         # (q^0 x + ... + q^(N-1) x), and are added again later must leave the
-        # stored forms and key order that out = out + child leaves.
+        # stored forms and key order that out = out + child leaves, and that
+        # the sum node's own merge loop left before it merged through sum_terms.
         rng = random.Random(9)
         cancelled = 0
         for _ in range(80):
@@ -352,6 +355,7 @@ class TestSums:
             got = eval_element(ast, ctx)
             assert repr(got) == repr(fold)
             assert _stored_terms(got) == _stored_terms(fold)
+            assert _stored_terms(got) == _stored_terms(merge_loop_sum(ctx, parts))
             cancelled += len(fold.terms) < len({k for part in parts for k in part.terms})
         assert cancelled > 10
 
@@ -366,15 +370,112 @@ class TestStoredForm:
         operators = 0
         for op in workloads.build("algebra_eval", seed):
             ctx = AlgebraContext.from_sign(op.N, op.n, op.sign)
-            ast = parse(workloads.render(op.tree))
-            if ast.kind == "apply":
-                ast = ast.children[0]
-            elif ast.kind == "sandwich":
-                ast = ast.children[1]
+            ast = _operator_of(parse(workloads.render(op.tree)))
             got = eval_element(ast, ctx)
             assert _stored_terms(got) == _stored_terms(identity_fold_eval(ast, ctx))
             operators += 1
         assert operators == 240
+
+
+def _operator_of(ast):
+    # The operator expression of a top-level AST: a state's or bra-ket's middle part.
+    if ast.kind == "apply":
+        return ast.children[0]
+    if ast.kind == "sandwich":
+        return ast.children[1]
+    return ast
+
+
+def _charged(text, ctx):
+    # The steps one evaluation of ``text`` was charged, and whether it was refused.
+    evaluation = expr._Evaluation(ctx)
+    try:
+        evaluation.operator(_operator_of(parse(text)))
+    except EvalError:
+        return evaluation.work, True
+    return evaluation.work, False
+
+
+def _charged_until_refused(summand_steps):
+    # The count at the first charge that passes MAX_EVAL_WORK, for a sum whose
+    # k-th summand is charged the steps summand_steps(k), in order.
+    work = 0
+    for k in itertools.count(1):
+        for steps in summand_steps(k):
+            work += steps
+            if work > expr.MAX_EVAL_WORK:
+                return work
+
+
+def _products(k):
+    # The products power_by_squaring forms for x^k, k >= 1.
+    return k.bit_length() + k.bit_count() - 2
+
+
+# Phi_510 has 73 nonzero coefficients, the steps of one row of a zero test at N = 255.
+_ROW_255 = 73
+
+
+class TestEvalBudget:
+    # Each of these once printed after seconds, bounded only by the length of
+    # the argument: adjoints, leaves other than E[k], powers and sums were
+    # charged nothing.  Each is now refused at the charge that passes the budget.
+    @pytest.mark.parametrize("text,N,n,work", [
+        # E[1] is N * 2n = 524288 steps; its adjoint 256 terms * 2n + 256 entries.
+        pytest.param("E[1]" + "'" * 10, 256, 1024, 524288 + 256 * 2048 + 256, id="E[1]'x10"),
+        pytest.param("E[1]" + "'" * 100, 256, 1024, 524288 + 256 * 2048 + 256, id="E[1]'x100"),
+        # Two leaves and two one-term summands, 4 * 2n; each adjoint 2 * 2n + 2.
+        pytest.param("(c[1]+c[2])" + "'" * 20000, 256, 1024, 4 * 2048 + 254 * 4098,
+                     id="(c[1]+c[2])'x20000"),
+        # Each summand's leaf 2n and its one term merged 2n: the 257th leaf is refused.
+        pytest.param("+".join(f"c[{i % 2048 + 1}]" for i in range(14000)), 256, 1024,
+                     256 * 4096 + 2048, id="14000 generators"),
+        # q^k: leaf 2, power 2, its products 3 each, its one term merged 2, and from
+        # k = 2 on the zero test of the running coefficient (k - 1 entries) plus q^k.
+        pytest.param("+".join(f"q^{k}" for k in range(1, 4001)), 255, 1, _charged_until_refused(
+            lambda k: [2, 2] + [3] * _products(k) + [2 + (k > 1) * k * _ROW_255]),
+            id="q^1+...+q^4000"),
+        # (1+q^k): leaves 1 and q 2 each, the power 2, its products, 1 merged 2, q^k
+        # merged 2 with a zero test of 1 + 1 entries; then the summand, merged 2 with
+        # a zero test from k = 2 on of the running coefficient (k entries) plus 2.
+        pytest.param("+".join(f"(1+q^{k})" for k in range(1, 3001)), 255, 1,
+                     _charged_until_refused(
+                         lambda k: [2, 2, 2, 2] + [3] * _products(k)
+                         + [2 + 2 * _ROW_255, 2 + (k > 1) * (k + 2) * _ROW_255]),
+                     id="(1+q^1)+...+(1+q^3000)"),
+    ])
+    def test_once_unbounded_inputs_are_refused(self, text, N, n, work):
+        assert _charged(text, AlgebraContext(N, n)) == (work, True)
+
+    @pytest.mark.parametrize("text,work", [
+        # At N = 3, n = 2 (2n = 4): three leaves and three one-term summands, 24;
+        # the power 4 and its product 3 * 3 * 4 + 3 * 3 = 45.
+        ("(c[1]+c[2]+c[3])^2", 24 + 4 + 45),
+        ("(c[1]+c[2]+c[3]) (c[1]+c[2]+c[3])", 24 + 24 + 45),
+        # E[1] 12 and its 3 terms merged 12; E[2] 12, the power -1 4 and its
+        # adjoint 3 * 4 + 3 = 15, then its 3 terms merged 12 with a zero test of
+        # 1 + 1 entries of the identity's coefficient, times Phi_6's 3.
+        ("E[1] + E[2]^-1", 24 + 12 + 4 + 15 + 12 + 2 * 3),
+        ("0", 4),
+    ])
+    def test_each_node_is_charged(self, text, work):
+        assert _charged(text, AlgebraContext(3, 2)) == (work, False)
+
+    def test_benchmark_evaluations_stay_far_inside_the_budget(self):
+        # Every eval and matrix expression of the benchmark's op lists.
+        workloads = _load_workloads()
+        charged = {"eval": [], "matrix": []}
+        for name in workloads.WORKLOADS:
+            for seed in (1, 2, 3):
+                for op in workloads.build(name, seed):
+                    if op.tree is not None:
+                        ctx = AlgebraContext.from_sign(op.N, op.n, op.sign)
+                        work, refused = _charged(workloads.render(op.tree), ctx)
+                        assert not refused
+                        charged[op.command].append(work)
+        assert {command: len(works) for command, works in charged.items()} == {
+            "eval": 720, "matrix": 117}
+        assert max(max(works) for works in charged.values()) < expr.MAX_EVAL_WORK // 64
 
 
 class TestPrinting:
