@@ -117,6 +117,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _reduction_row(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # The degree dn of Phi_m and its nonzero coefficients as (j - dn, d): one
+    # reduction step subtracts c * d from position i + j - dn for each.
+    phi = cyclotomic_polynomial(m)
+    dn = len(phi) - 1
+    return dn, tuple((j - dn, d) for j, d in enumerate(phi) if d)
+
+
 class CycloScalar:
     """An element of Q(w), with w a primitive ``order``-th root of unity.
 
@@ -282,8 +291,7 @@ class CycloScalar:
         if len(coeffs) < 2:
             return not coeffs
         m = self.order
-        phi = cyclotomic_polynomial(m)
-        dn = len(phi) - 1
+        dn, steps = _reduction_row(m)
         size = m if m % 2 else m // 2  # w^(m/2) = -1 for an even order m
         rem = [0] * size
         for k, v in coeffs.items():
@@ -291,7 +299,6 @@ class CycloScalar:
                 rem[k] += v
             else:
                 rem[k - size] -= v
-        steps = [(j - dn, d) for j, d in enumerate(phi) if d]
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c:

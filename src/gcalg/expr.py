@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclo import AlgebraContext, ContextMismatchError, CycloScalar, power_by_squaring, sum_terms
-from .cyclo import cyclotomic_polynomial
+from .cyclo import _reduction_row
 from .rep import QuditState, apply_element, basis_state, scalar_product
 from .symbolic import AlgebraElement, projector_element
 
 __all__ = [
     "EvalError",
-    "MAX_ACTION_LETTERS",
     "MAX_EVAL_WORK",
     "MAX_PAREN_DEPTH",
     "Node",
@@ -66,7 +65,10 @@ MAX_PAREN_DEPTH = 200
 # tuples and conjugates e entries, s * 2n + e.  A sum merges each child's t
 # terms into its running map, t * 2n, and zero-tests every coefficient the
 # child adds to: the entries of both operands times the nonzero coefficients
-# of Phi_2N, the steps of each row ``CycloScalar.is_zero`` reduces.  The step
+# of Phi_2N, the steps of each row ``CycloScalar.is_zero`` reduces.  A state
+# or bra-ket expression then applies the element to its ket letter by letter,
+# each letter building one n-long basis label: n steps per letter (the sum of
+# every term's exponents), all charged before any letter is applied.  The step
 # that would take the evaluation's count past this budget is refused, so a
 # long chain or sum of small nodes is bounded as a whole, not node by node.
 # A chain or a power starts from its first factor, so the identity is never a
@@ -76,14 +78,6 @@ MAX_PAREN_DEPTH = 200
 # takes from about 10 ms to about 3.4 s.  The benchmark's evaluations take at
 # most 850 steps.
 MAX_EVAL_WORK = 2**20
-
-# Most letters an element may apply to a ket in a state or bra-ket
-# expression.  ``apply_element`` replays every letter of every term on the
-# ket, so the letters (the sum of every term's exponents) are counted, and
-# refused above this budget, before any is applied.  At about 2.5 us a
-# letter the budget takes about 0.2 s; the benchmark's actions stay under
-# 100 letters.
-MAX_ACTION_LETTERS = 2**16
 
 
 class ParseError(ValueError):
@@ -391,7 +385,7 @@ class _Evaluation:
         self.ctx = ctx
         self.work = 0
         # The nonzero coefficients of Phi_2N: the steps of one row of a zero test.
-        self.zero_test_row = sum(map(bool, cyclotomic_polynomial(ctx.order)))
+        self.zero_test_row = len(_reduction_row(ctx.order)[1])
 
     def charge(self, steps: int) -> None:
         self.work += steps
@@ -400,7 +394,8 @@ class _Evaluation:
                 f"result too large: the evaluation would take {self.work} steps (2n per leaf or "
                 "power, N * 2n per E[k], term pairs * 2n + coefficient entry pairs per product, "
                 "terms * 2n + coefficient entries per adjoint, terms * 2n + merged entries * "
-                f"nonzero terms of Phi_2N per summand), more than the budget of {MAX_EVAL_WORK}"
+                "nonzero terms of Phi_2N per summand, n per letter applied to a ket), more than "
+                f"the budget of {MAX_EVAL_WORK}"
             )
 
     def operator(self, node: Node) -> AlgebraElement:
@@ -462,6 +457,12 @@ class _Evaluation:
             return AlgebraElement._raw(ctx, out)
         raise EvalError(f"expected an operator expression, found a {kind} node")
 
+    def act(self, node: Node, ket: QuditState) -> QuditState:
+        # The operator expression ``node`` applied to the basis state ``ket``.
+        element = self.operator(node)
+        self.charge(self.ctx.n * sum(sum(exps) for exps in element.terms))
+        return apply_element(element, ket)
+
     def product(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         # Every product an expression forms, in a chain or a power, is charged
         # before it is formed and passes the digit limit after.
@@ -492,18 +493,6 @@ def _what(ast: Node) -> str:
     return _NOT_OPERATORS.get(ast.kind, "an element")
 
 
-def _act(node: Node, ket: QuditState) -> QuditState:
-    # The operator expression ``node`` applied to ``ket``, within MAX_ACTION_LETTERS.
-    element = eval_element(node, ket.ctx)
-    letters = sum(sum(exps) for exps in element.terms)
-    if letters > MAX_ACTION_LETTERS:
-        raise EvalError(
-            f"result too large: acting on the ket would take {letters} letters (the sum "
-            f"of every term's exponents), more than the budget of {MAX_ACTION_LETTERS}"
-        )
-    return apply_element(element, ket)
-
-
 def eval_element(ast: Node, ctx: AlgebraContext) -> AlgebraElement:
     """Evaluate an operator expression to an exact algebra element.
 
@@ -520,29 +509,31 @@ def eval_element(ast: Node, ctx: AlgebraContext) -> AlgebraElement:
 def eval_state(ast: Node, ctx: AlgebraContext) -> QuditState:
     """Evaluate a ket expression (with optional operator prefix) to a state.
 
-    Raises EvalError, before any letter is applied, when the operator's
-    letters exceed ``MAX_ACTION_LETTERS``.
+    The operator is evaluated as in ``eval_element``, and its action on the
+    ket is charged to the same ``MAX_EVAL_WORK`` budget, n steps per letter
+    applied, before any letter is applied.
     """
     if ast.kind != "apply":
         raise EvalError(f"expected a state expression, got {_what(ast)}")
     ket = _eval_label(ast.children[-1], ctx)
     if len(ast.children) == 1:
         return ket
-    return _act(ast.children[0], ket)
+    return _Evaluation(ctx).act(ast.children[0], ket)
 
 
 def eval_scalar(ast: Node, ctx: AlgebraContext) -> CycloScalar:
     """Evaluate a bra-operator-ket sandwich to an exact scalar.
 
     The bra slot is conjugate-linear: <b|x|a> = (|b>, x|a>) in the Hermitian
-    product.  The operator's letters are bounded as in ``eval_state``.
+    product.  The operator and its n steps per letter applied to the ket are
+    charged to one ``MAX_EVAL_WORK`` budget, as in ``eval_state``.
     """
     if ast.kind != "sandwich":
         raise EvalError(f"expected a bra-ket expression, got {_what(ast)}")
     bra_state = _eval_label(ast.children[0], ctx)
     ket_state = _eval_label(ast.children[-1], ctx)
     if len(ast.children) == 3:
-        ket_state = _act(ast.children[1], ket_state)
+        ket_state = _Evaluation(ctx).act(ast.children[1], ket_state)
     return scalar_product(bra_state, ket_state)
 
 
@@ -606,15 +597,13 @@ def _scalar_text(s: CycloScalar, ctx: AlgebraContext) -> str:
     return _signed_join([(r < 0, _term_body(abs(r), a, b)) for r, a, b in terms])
 
 
-def _coeff_piece(coeff: CycloScalar, ctx: AlgebraContext) -> tuple[bool, str, bool]:
-    """Coefficient as (negative, body, is_plain_one) for use before generators."""
+def _coeff_piece(coeff: CycloScalar, ctx: AlgebraContext) -> tuple[bool, str]:
+    """Coefficient as (negative, body) for use before generators."""
     terms = _scalar_terms(coeff, ctx)
     if len(terms) == 1:
         r, a, b = terms[0]
-        if r == 1 and a == 0 and b == 0:
-            return False, "1", True
-        return r < 0, _term_body(abs(r), a, b), False
-    return False, f"({_scalar_text(coeff, ctx)})", False
+        return r < 0, _term_body(abs(r), a, b)
+    return False, f"({_scalar_text(coeff, ctx)})"
 
 
 def _element_text(x: AlgebraElement) -> str:
@@ -628,7 +617,7 @@ def _element_text(x: AlgebraElement) -> str:
             for i, e in enumerate(exps)
             if e
         )
-        negative, body, _ = _coeff_piece(x.terms[exps], ctx)
+        negative, body = _coeff_piece(x.terms[exps], ctx)
         if not gens:
             text = body
         elif body == "1":
@@ -646,10 +635,8 @@ def _state_text(s: QuditState) -> str:
     if len(s.amps) == 1:
         (digits, amp), = s.amps.items()
         ket = "|" + ",".join(map(str, digits)) + ">"
-        negative, body, is_one = _coeff_piece(amp, ctx)
-        if is_one:
-            return ket
-        text = f"{body} * {ket}"
+        negative, body = _coeff_piece(amp, ctx)
+        text = ket if body == "1" else f"{body} * {ket}"
         return _negate_body(text) if negative else text
     # General states print as an even-generator element applied to Omega:
     # c_2^{a_1} ... c_{2n}^{a_n} reaches |a_1..a_n> with phase exactly one.

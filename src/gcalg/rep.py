@@ -15,8 +15,8 @@ a_k = 0.  A state is a :class:`gcalg.cyclo.ExactVector` map from basis
 labels to amplitudes, the same sparse vector type as an algebra element.
 Operators act term by term on that map, so applying a generator never
 materializes a matrix.  Every letter takes one path: ``apply_generator``
-checks the index and dispatches on parity to ``apply_odd`` or
-``apply_even``, and both call ``_raise_digit``, which builds each raised
+dispatches on parity to ``apply_odd`` or ``apply_even``, and both call
+``_raise_digit``, which checks the qudit index and builds each raised
 label with one tuple concatenation and rotates each amplitude with
 ``CycloScalar.times_root`` (one index into the shared roots when the
 amplitude is a root).  ``dense_matrix`` exists for exports and cross-checks
@@ -221,10 +221,11 @@ def apply_projector(k: int, state: QuditState) -> QuditState:
 
 
 def apply_generator(i: int, state: QuditState) -> QuditState:
-    """Action of c_i, dispatching on the parity of the generator index."""
-    top = 2 * state.ctx.n
-    if not 1 <= i <= top:
-        raise ValueError(f"generator index {i} out of range 1..{top}")
+    """Action of c_i, dispatching on the parity of the generator index.
+
+    An index outside 1..2n reaches qudit 0 or below, or n + 1, whose range
+    check raises ValueError.
+    """
     if i % 2:
         return apply_odd((i + 1) // 2, state)
     return apply_even(i // 2, state)

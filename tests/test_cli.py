@@ -16,7 +16,7 @@ import pytest
 
 import gcalg
 from gcalg import (AlgebraContext, AlgebraElement, CycloScalar, apply_element, basis_indices,
-                   basis_state, eval_element, parse)
+                   basis_state, eval_element, parse, print_canonical)
 from gcalg import axioms, cli, expr, rep
 from gcalg.cli import MAX_N, MAX_QUDITS, main
 import faults
@@ -83,7 +83,8 @@ def budget_error(steps, budget) -> str:
     return (f"error: result too large: the evaluation would take {steps} steps (2n per leaf or "
             "power, N * 2n per E[k], term pairs * 2n + coefficient entry pairs per product, "
             "terms * 2n + coefficient entries per adjoint, terms * 2n + merged entries * nonzero "
-            f"terms of Phi_2N per summand), more than the budget of {budget}\n")
+            "terms of Phi_2N per summand, n per letter applied to a ket), more than the budget "
+            f"of {budget}\n")
 
 
 def outcome(argv, capsys):
@@ -477,27 +478,42 @@ class TestEval:
 
     @pytest.mark.parametrize("text", ["(c[1] + c[2]^2) |0,0>", "<1,0| (c[1] + c[2]^2) |0,0>"])
     def test_action_budget_is_exact(self, text, monkeypatch, capsys):
-        # c_1 + c_2^2 applies 1 + 2 letters to the ket.
-        monkeypatch.setattr(expr, "MAX_ACTION_LETTERS", 3)
+        # At N = 3, n = 2 the element c_1 + c_2^2 is charged 25 steps: c[1] 4,
+        # merged 4; c[2] 4, the power 4 and its square 5, merged 4.  It applies
+        # 1 + 2 letters to the ket, n = 2 steps each.
+        steps = 25 + 3 * 2
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps)
         code, _, _ = run(["eval", "--N", "3", "--n", "2", text], capsys)
         assert code == 0
-        monkeypatch.setattr(expr, "MAX_ACTION_LETTERS", 2)
+        monkeypatch.setattr(expr, "MAX_EVAL_WORK", steps - 1)
         monkeypatch.setattr(expr, "apply_element", None)  # refused before any letter
         code, out, err = run(["eval", "--N", "3", "--n", "2", text], capsys)
         assert code == 1 and out == ""
-        assert err == ("error: result too large: acting on the ket would take 3 letters (the "
-                       "sum of every term's exponents), more than the budget of 2\n")
+        assert err == budget_error(steps, steps - 1)
 
     def test_action_over_the_letter_budget_exits_1(self):
-        # 21609 terms, 3.2M letters on one ket: once 11 s, now refused in well under 1 s.
+        # 21609 terms, 3.2M letters on one ket: once 11 s, now refused in well under
+        # 1 s.  The element is charged 73449 steps and its letters 3198132 * n.
         sums = ["(" + "+".join(f"c[{i}]^{e}" for e in range(1, 148)) + ")" for i in (1, 2)]
         code, out, err = run_process(["eval", "--N", "256", "--n", "1", " ".join(sums) + " |0>"],
                                      timeout=30)
         assert code == 1
         assert out == ""
-        assert err == ("error: result too large: acting on the ket would take 3198132 letters "
-                       "(the sum of every term's exponents), more than the budget of "
-                       f"{expr.MAX_ACTION_LETTERS}\n")
+        assert err == budget_error(73449 + 3198132, expr.MAX_EVAL_WORK)
+
+    def test_action_past_the_old_letter_count_prints(self, capsys):
+        # 1600 terms apply 65600 letters to |0>, past the 65536 letters the
+        # separate action budget once allowed: now the element's 6510 steps and
+        # 65600 * n for its letters, inside MAX_EVAL_WORK.
+        text = " ".join("(" + "+".join(f"c[{i}]^{e}" for e in range(1, 41)) + ")" for i in (1, 2))
+        ctx = AlgebraContext(256, 1)
+        evaluation = expr._Evaluation(ctx)
+        state = evaluation.act(parse(text), basis_state(ctx, (0,)))
+        assert evaluation.work == 6510 + 65600
+        code, out, err = run(["eval", "--N", "256", "--n", "1", "--format", "text",
+                              text + " |0>"], capsys)
+        assert code == 0 and err == ""
+        assert out == print_canonical(state) + "\n"
 
     def test_projector_budget_is_exact(self, formed, monkeypatch, capsys):
         # An E[k] leaf at N = 3, n = 2 is charged N * 2n = 12 steps.  Before the

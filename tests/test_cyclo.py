@@ -15,6 +15,7 @@ from gcalg.cyclo import (
     ContextMismatchError,
     CycloScalar,
     _ROOTS,
+    _reduction_row,
     admissible_zeta_exps,
     cyclotomic_polynomial,
     power_by_squaring,
@@ -57,6 +58,15 @@ class TestCyclotomicPolynomial:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+    def test_reduction_row_lists_the_nonzero_coefficients_once_per_order(self):
+        assert _reduction_row(6) == (2, ((-2, 1), (-1, -1), (0, 1)))
+        for m in (1, 2, 12, 510):
+            phi = cyclotomic_polynomial(m)
+            dn, steps = _reduction_row(m)
+            assert dn == len(phi) - 1
+            assert steps == tuple((j - dn, d) for j, d in enumerate(phi) if d)
+            assert _reduction_row(m) is _reduction_row(m)
 
 
 class TestContext:

@@ -388,9 +388,15 @@ def _operator_of(ast):
 
 def _charged(text, ctx):
     # The steps one evaluation of ``text`` was charged, and whether it was refused.
+    # A state's or bra-ket's operator is charged with its action on the ket.
+    ast = parse(text)
+    node = _operator_of(ast)
     evaluation = expr._Evaluation(ctx)
     try:
-        evaluation.operator(_operator_of(parse(text)))
+        if node is ast:
+            evaluation.operator(node)
+        else:
+            evaluation.act(node, expr._eval_label(ast.children[-1], ctx))
     except EvalError:
         return evaluation.work, True
     return evaluation.work, False
@@ -462,9 +468,11 @@ class TestEvalBudget:
         assert _charged(text, AlgebraContext(3, 2)) == (work, False)
 
     def test_benchmark_evaluations_stay_far_inside_the_budget(self):
-        # Every eval and matrix expression of the benchmark's op lists.
+        # Every eval and matrix expression of the benchmark's op lists, each state
+        # and bra-ket with its action on the ket.
         workloads = _load_workloads()
         charged = {"eval": [], "matrix": []}
+        acting = 0
         for name in workloads.WORKLOADS:
             for seed in (1, 2, 3):
                 for op in workloads.build(name, seed):
@@ -473,8 +481,10 @@ class TestEvalBudget:
                         work, refused = _charged(workloads.render(op.tree), ctx)
                         assert not refused
                         charged[op.command].append(work)
+                        acting += op.tree[0] in ("state", "scalar")
         assert {command: len(works) for command, works in charged.items()} == {
             "eval": 720, "matrix": 117}
+        assert acting == 180
         assert max(max(works) for works in charged.values()) < expr.MAX_EVAL_WORK // 64
 
 

@@ -116,6 +116,12 @@ class TestGeneratorAction:
             with pytest.raises(ValueError):
                 bad_call()
 
+    @pytest.mark.parametrize("i", [0, -1, -2, 5, 6])
+    def test_generator_index_outside_1_to_2n_is_refused(self, i):
+        # At n = 2: 0 and -1 reach qudit 0, -2 qudit -1, 2n + 1 and 2n + 2 qudit n + 1.
+        with pytest.raises(ValueError, match="qudit index"):
+            apply_generator(i, ground_state(AlgebraContext(3, 2)))
+
     def test_generalized_permutation_property(self):
         rng = random.Random(500)
         ctx = AlgebraContext(4, 2)
