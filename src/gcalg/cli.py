@@ -40,6 +40,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from types import SimpleNamespace
@@ -94,8 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands["verify"].add_argument(
         "--checks", nargs="+", choices=axioms.ALL_CHECKS, default=None, metavar="NAME",
         help=f"subset of checks to run (default all): {', '.join(axioms.ALL_CHECKS)}")
-    commands["eval"].add_argument("expression")
-    commands["matrix"].add_argument("expression")
+    for name in ("eval", "matrix"):
+        # argparse reads an argument that starts with "-" as a flag unless it
+        # is a plain number; no flag starts with "-" and a digit, so "-1/2"
+        # and "-2c[1]" are the expression.  argparse has no public setter.
+        commands[name]._negative_number_matcher = re.compile(r"-\d")
+        commands[name].add_argument("expression")
     return parser
 
 

@@ -20,11 +20,17 @@ for display and sanity oracles, never for equality decisions.
 
 :class:`ExactVector` is the one sparse vector over these scalars: a map from
 keys to nonzero scalars.  Algebra elements (keyed by exponent vectors) and
-qudit states (keyed by basis labels) are its subclasses, and ``sum_terms``
-is the one place where contributions are summed and zero sums pruned: a
-product sums its term pairs with it, ``+`` merges one operand into a copy of
-the other, and ``eval``'s sum node merges each child into one running map.
-``power_by_squaring`` serves every ``**`` in the package.
+qudit states (keyed by basis labels) are its subclasses.
+
+Sums are merged by two rules.  A scalar's rationals, keyed by exponent, go
+through ``_accumulate``, which drops an exponent the moment its coefficient
+sums to zero: the constructor, ``+`` and a product of multi-term scalars
+call it.  A vector's scalars, keyed by label or exponent vector, go through
+``sum_terms``, which zero-tests a key only after all its contributions are
+summed, since an unreduced scalar can be zero with nonzero entries: a
+product sums its term pairs with it, ``+`` merges one operand into a copy
+of the other, and ``eval``'s sum node merges each child into one running
+map.  ``power_by_squaring`` serves every ``**`` in the package.
 """
 
 from __future__ import annotations
@@ -88,11 +94,35 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 def _rational(value) -> int | Fraction:
-    """``value`` as an exact rational: an int when integral, else a Fraction."""
+    """``value`` as an exact rational: an int when integral, else a Fraction.
+
+    A float is refused with ``TypeError``: its binary value (0.1 is
+    3602879701896397/2^55) is never the rational that was meant.  Strings
+    such as ``"5/5"`` and Fractions are read exactly.
+    """
     if type(value) is int:
         return value
+    if isinstance(value, float):
+        raise TypeError(f"exact scalars take no floats, got {value!r}")
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add (exponent, rational) pairs into ``out`` and return it.
+
+    An exponent whose coefficient sums to zero is dropped at once, and a
+    zero pair for an absent exponent adds nothing.  Exponents keep the
+    order in which they first appear; one dropped and added again goes to
+    the end.
+    """
+    for k, v in pairs:
+        v = out.get(k, 0) + v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +162,16 @@ class CycloScalar:
     ``coeffs`` maps exponents in [0, order) to nonzero rationals; the value
     represented is sum_k coeffs[k] * w^k.  A coefficient is an ``int`` or a
     ``Fraction``; the constructors store integral values as ``int``, and
-    arithmetic on ints stays int.  Instances are immutable values and all
-    arithmetic returns new objects.  ``==`` compares the represented complex
-    numbers exactly, so two scalars with different stored maps can still be
-    equal; consequently the type is unhashable.  Two single terms are
-    compared by the closed rule r w^a == s w^b iff (a = b and r = s) or
-    (order even, a - b = order/2 mod order and r = -s); every other pair is
-    reduced modulo the cyclotomic polynomial.
+    arithmetic on ints stays int.  The constructor takes a mapping only, from
+    integer exponents (read with ``operator.index`` and reduced mod order) to
+    exact rationals, and refuses floats with ``TypeError``.  Instances are
+    immutable values and all arithmetic returns new objects.  ``==``
+    compares the represented complex numbers exactly, so two scalars with
+    different stored maps can still be equal; consequently the type is
+    unhashable.  Two single terms are compared by the closed rule
+    r w^a == s w^b iff (a = b and r = s) or (order even, a - b = order/2
+    mod order and r = -s); every other pair is reduced modulo the
+    cyclotomic polynomial.
     """
 
     __slots__ = ("order", "coeffs")
@@ -148,21 +181,10 @@ class CycloScalar:
     def __init__(self, order: int, coeffs=None):
         if not isinstance(order, int) or order < 1:
             raise ValueError("order must be a positive integer")
-        clean: dict[int, int | Fraction] = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for k, v in items:
-                v = _rational(v)
-                if not v:
-                    continue
-                k = int(k) % order
-                w = clean.get(k, 0) + v
-                if w:
-                    clean[k] = w
-                else:
-                    del clean[k]
         self.order = order
-        self.coeffs = clean
+        self.coeffs = _accumulate({}, [
+            (operator.index(k) % order, _rational(v)) for k, v in (coeffs or {}).items()
+        ])
 
     @classmethod
     def _raw(cls, order: int, clean: dict[int, int | Fraction]) -> CycloScalar:
@@ -205,14 +227,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-        return CycloScalar._raw(self.order, out)
+        return CycloScalar._raw(self.order, _accumulate(dict(self.coeffs), o.coeffs.items()))
 
     __radd__ = __add__
 
@@ -240,16 +255,10 @@ class CycloScalar:
             (k1, v1), = self.coeffs.items()
             (k2, v2), = o.coeffs.items()
             return CycloScalar._raw(m, {(k1 + k2) % m: v1 * v2})
-        out: dict[int, int | Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in o.coeffs.items():
-                k = (k1 + k2) % m
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        return CycloScalar._raw(m, out)
+        return CycloScalar._raw(m, _accumulate({}, [
+            ((k1 + k2) % m, v1 * v2)
+            for k1, v1 in self.coeffs.items() for k2, v2 in o.coeffs.items()
+        ]))
 
     __rmul__ = __mul__
 

@@ -19,7 +19,7 @@ from gcalg import (
     ground_state,
 )
 from gcalg import expr, symbolic
-from gcalg.cyclo import cyclotomic_polynomial, sum_terms
+from gcalg.cyclo import _rational, cyclotomic_polynomial, sum_terms
 
 
 def random_scalar(rng, ctx: AlgebraContext, terms=(1, 2)) -> CycloScalar:
@@ -253,6 +253,54 @@ def merge_loop_sum(ctx: AlgebraContext, parts) -> AlgebraElement:
             if terms[key].is_zero():
                 del terms[key]
     return AlgebraElement._raw(ctx, terms)
+
+
+def loop_scalar(order: int, coeffs) -> CycloScalar:
+    """A scalar built by the merge loop that ``CycloScalar.__init__`` once ran
+    itself, before it merged through ``cyclo._accumulate``; kept as the oracle
+    of the constructor's stored forms and key order."""
+    clean = {}
+    if coeffs:
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
+        for k, v in items:
+            v = _rational(v)
+            if not v:
+                continue
+            k = int(k) % order
+            w = clean.get(k, 0) + v
+            if w:
+                clean[k] = w
+            else:
+                del clean[k]
+    return CycloScalar._raw(order, clean)
+
+
+def loop_sum(x: CycloScalar, y: CycloScalar) -> CycloScalar:
+    """x + y by the merge loop that ``CycloScalar.__add__`` once ran itself."""
+    out = dict(x.coeffs)
+    for k, v in y.coeffs.items():
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return CycloScalar._raw(x.order, out)
+
+
+def loop_product(x: CycloScalar, y: CycloScalar) -> CycloScalar:
+    """x * y by the double loop that ``CycloScalar.__mul__`` once ran for
+    multi-term operands; its single-term branch must give the same map."""
+    m = x.order
+    out = {}
+    for k1, v1 in x.coeffs.items():
+        for k2, v2 in y.coeffs.items():
+            k = (k1 + k2) % m
+            w = out.get(k, 0) + v1 * v2
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+    return CycloScalar._raw(m, out)
 
 
 def identity_fold_eval(node, ctx: AlgebraContext) -> AlgebraElement:

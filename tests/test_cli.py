@@ -137,6 +137,17 @@ class TestParser:
         assert "invalid choice: 'yaml'" in err.getvalue()
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("argv, out", [
+        (["eval", "--N", "2", "-1/2"], "-1/2\n"),
+        (["eval", "--N", "2", "-2c[1]", "--n", "1"], "-2 * c[1]\n"),
+        (["eval", "--N", "2", "--", "-1/2"], "-1/2\n"),
+        (["matrix", "--N", "2", "-2c[1]"], "0\t-2 * q * zeta\n-2 * zeta\t0\n"),
+    ])
+    def test_expression_may_start_with_a_minus_and_a_digit(self, argv, out, capsys):
+        # argparse reads such an argument as an unknown flag unless told that
+        # no flag starts with "-" and a digit.
+        assert outcome(argv, capsys) == (0, out, "")
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 

@@ -21,7 +21,15 @@ from gcalg.cyclo import (
     power_by_squaring,
     sum_terms,
 )
-from helpers import literal_is_zero, random_element, random_scalar, scalar_from_json
+from helpers import (
+    literal_is_zero,
+    loop_product,
+    loop_scalar,
+    loop_sum,
+    random_element,
+    random_scalar,
+    scalar_from_json,
+)
 
 
 def euler_phi(m):
@@ -333,22 +341,6 @@ class TestSumTerms:
         assert list(into) == ["a", "b"]
 
 
-def _general_product(x, y):
-    # The double loop of CycloScalar.__mul__, kept as the oracle of its
-    # single-term branch.
-    m = x.order
-    out = {}
-    for k1, v1 in x.coeffs.items():
-        for k2, v2 in y.coeffs.items():
-            k = (k1 + k2) % m
-            w = out.get(k, 0) + v1 * v2
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-    return out
-
-
 def _stored(x):
     return [(k, type(v), v) for k, v in x.coeffs.items()]
 
@@ -384,8 +376,7 @@ class TestUnitRootFastPath:
                         for s in (1, -2, Fraction(1, 2)):
                             x = CycloScalar(m, {a: r})
                             y = CycloScalar(m, {b: s})
-                            expected = _general_product(x, y).items()
-                            assert _stored(x * y) == [(k, type(v), v) for k, v in expected]
+                            assert _stored(x * y) == _stored(loop_product(x, y))
 
     def test_times_root_equals_multiplying_by_the_root(self):
         rng = random.Random(6)
@@ -443,6 +434,59 @@ class TestUnitRootFastPath:
         finally:
             for m in built:
                 del _ROOTS[m]
+
+
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.sampled_from(["5/5", "-1/2", "0"]),
+)
+
+
+class TestMergeRule:
+    # The constructor, + and * merge through one helper; the loops each of
+    # them once ran give the oracle of keys in order, values and value types.
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stored_forms_match_the_merge_loops(self, data):
+        m = data.draw(st.integers(1, 12), label="order")
+        maps = data.draw(st.lists(
+            st.dictionaries(st.integers(-2 * m - 3, 2 * m + 3), _coefficients, max_size=6),
+            min_size=2, max_size=2,
+        ), label="maps")
+        x, y = (CycloScalar(m, c) for c in maps)
+        for c, s in zip(maps, (x, y)):
+            assert _stored(s) == _stored(loop_scalar(m, c))
+        for a, b in ((x, y), (x, -x), (x + y, -y), (y, x * 2)):
+            assert _stored(a + b) == _stored(loop_sum(a, b))
+            assert _stored(a * b) == _stored(loop_product(a, b))
+
+
+class TestExactInputs:
+    # A float's binary value is never the rational that was meant.
+    @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 0.0, -2.0])
+    def test_floats_are_refused(self, value):
+        ctx = AlgebraContext(3, 1)
+        with pytest.raises(TypeError):
+            ctx.scalar(value)
+        with pytest.raises(TypeError):
+            CycloScalar.rational(6, value)
+        with pytest.raises(TypeError):
+            AlgebraElement.from_scalar(ctx, value)
+        with pytest.raises(TypeError):
+            CycloScalar(6, {1: value})
+
+    @pytest.mark.parametrize("exponent", [2.7, 3.0, "3", None])
+    def test_exponents_must_be_integers(self, exponent):
+        with pytest.raises(TypeError):
+            CycloScalar(6, {exponent: 1})
+
+    def test_exact_rationals_are_read(self):
+        ctx = AlgebraContext(3, 1)
+        assert _stored(ctx.scalar("1/10")) == [(0, Fraction, Fraction(1, 10))]
+        assert _stored(CycloScalar.rational(6, Fraction(6, 3))) == [(0, int, 2)]
+        assert AlgebraElement.from_scalar(ctx, "-5/5") == AlgebraElement.from_scalar(ctx, -1)
+        assert _stored(CycloScalar(6, {7: "2/4"})) == [(1, Fraction, Fraction(1, 2))]
 
 
 _orders = st.sampled_from([4, 6, 8, 10, 12])
