@@ -17,14 +17,17 @@ off the representation (``rep.generator_tables``) when it is omitted;
 ``run_suite`` builds them once per call, only when a selected check needs
 them, and passes them to each of those checks.  The tables change no result:
 a generator that is not such a table fails every table check with the
-offending basis state as counterexample.  The ground-state identity compares
-the tables of c_{2k-1} and zeta c_{2k} at |0..0>; the projector identity
-applies E_k to every basis state and compares them at each label E_k
-keeps.  The homomorphism check keeps a sparse oracle: each random word is
-applied letter by letter to sparse basis states, in lockstep (each letter,
-through ``rep.apply_generator``, acts on the images of all basis states
-before the next letter does), and each image is compared, as a map from
-label to amplitude, with the table of the word's normal form
+offending basis state as counterexample.  Each table check only states its
+comparisons, as a lazy stream of table pairs and ready counterexample texts;
+one driver, ``_table_check``, runs the stream, stops at the first failure
+and writes the report, so nothing after it is formed.  The ground-state
+identity compares the tables of c_{2k-1} and zeta c_{2k} at |0..0>; the
+projector identity applies E_k to every basis state and compares them at
+each label E_k keeps.  The homomorphism check keeps a sparse oracle: each
+random word is applied letter by letter to sparse basis states, in lockstep
+(each letter, through ``rep.apply_generator``, acts on the images of all
+basis states before the next letter does), and each image is compared, as a
+map from label to amplitude, with the table of the word's normal form
 (``rep.monomial_table``, the builder ``gcalg matrix`` reads too); the first
 basis state in basis order whose image differs is named, and a table column
 is built only to write that counterexample.  ``normal_order`` counts swaps
@@ -129,15 +132,20 @@ def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str |
     return None
 
 
-def _table_check(ctx: AlgebraContext, name: str, tables, body, seed=None) -> CheckReport:
-    """The report of ``body(tables)``, which returns the first counterexample or None.
+def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None) -> CheckReport:
+    """The report of the first failing item of ``stream(tables)``, or a pass.
 
-    ``tables`` are the 2n generator tables; when None they are read off the
-    representation, and a generator that is not a table fails the check with
-    the first column that is not +-w^k |b> as counterexample.
+    The stream lazily yields comparisons ``(lhs, rhs, what[, positions])`` of
+    two tables, which fail as ``_mismatch`` finds them, and counterexample
+    texts, which fail as they stand; nothing after the first failure is
+    formed.  ``tables`` are the 2n generator tables; when None they are read
+    off the representation, and a generator that is not a table fails the
+    check with the first column that is not +-w^k |b> as counterexample.
     """
     try:
-        detail = body(rep.generator_tables(ctx) if tables is None else tables)
+        items = stream(rep.generator_tables(ctx) if tables is None else tables)
+        details = (item if isinstance(item, str) else _mismatch(ctx, *item) for item in items)
+        detail = next(filter(None, details), None)
     except rep.NotPhasedPermutationError as exc:
         detail = str(exc)
     return CheckReport(ctx, name, detail is None, detail, seed)
@@ -167,57 +175,46 @@ def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
     the check also asserts that the conjugate transpose coincides with the
     (N-1)-th power of c.
     """
-    def body(tables):
+    def stream(tables):
         for i, table in enumerate(tables, start=1):
             if not table.is_bijection():
-                return f"c_{i} does not permute the basis labels"
-            what = f"c_{i}^(N-1) vs c_{i}^dagger"
-            if detail := _mismatch(ctx, table ** (ctx.N - 1), table.dagger(), what):
-                return detail
-        return None
+                yield f"c_{i} does not permute the basis labels"  # dagger() would raise
+            yield table ** (ctx.N - 1), table.dagger(), f"c_{i}^(N-1) vs c_{i}^dagger"
 
-    return _table_check(ctx, "unitarity", tables, body)
+    return _table_check(ctx, "unitarity", tables, stream)
 
 
 def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
     """Every generator satisfies c^N = 1 on every basis state."""
-    def body(tables):
+    def stream(tables):
         identity = rep.PhasedPermutation.identity(ctx)
         for i, table in enumerate(tables, start=1):
-            if detail := _mismatch(ctx, table ** ctx.N, identity, f"c_{i}^N vs 1"):
-                return detail
-        return None
+            yield table ** ctx.N, identity, f"c_{i}^N vs 1"
 
-    return _table_check(ctx, "order", tables, body)
+    return _table_check(ctx, "order", tables, stream)
 
 
 def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
     """c_i c_j = q c_j c_i for every pair i < j, on every basis state."""
-    def body(tables):
+    def stream(tables):
         for i, j in itertools.combinations(range(1, ctx.num_generators + 1), 2):
-            lhs = tables[i - 1] @ tables[j - 1]
             rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
-            if detail := _mismatch(ctx, lhs, rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"):
-                return detail
-        return None
+            yield tables[i - 1] @ tables[j - 1], rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"
 
-    return _table_check(ctx, "commutation", tables, body)
+    return _table_check(ctx, "commutation", tables, stream)
 
 
-def _zeta_mismatch(ctx: AlgebraContext, kept, tables) -> str | None:
-    # The first k, then basis position in the k-th entry of kept, where
-    # c_{2k-1} and zeta c_{2k} differ.
+def _zeta_stream(ctx: AlgebraContext, kept, tables):
+    # c_{2k-1} against zeta c_{2k} at the basis positions in the k-th entry of kept.
     for k, positions in enumerate(kept, start=1):
-        odd, even = tables[2 * k - 2], tables[2 * k - 1].scaled(ctx.zeta_exp)
-        if detail := _mismatch(ctx, odd, even, f"c_{2 * k - 1} vs zeta c_{2 * k}", positions):
-            return detail
-    return None
+        even = tables[2 * k - 1].scaled(ctx.zeta_exp)
+        yield tables[2 * k - 2], even, f"c_{2 * k - 1} vs zeta c_{2 * k}", positions
 
 
 def check_ground_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
     """c_{2k-1}|0..0> = zeta c_{2k}|0..0> for every k: the tables agree at position 0."""
-    body = functools.partial(_zeta_mismatch, ctx, [(0,)] * ctx.n)
-    return _table_check(ctx, "ground_identity", tables, body)
+    stream = functools.partial(_zeta_stream, ctx, [(0,)] * ctx.n)
+    return _table_check(ctx, "ground_identity", tables, stream)
 
 
 def check_projector_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -234,8 +231,8 @@ def check_projector_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
         sorted({position[b] for _, a in states for b in rep.apply_projector(k, a).terms})
         for k in range(1, ctx.n + 1)
     )
-    body = functools.partial(_zeta_mismatch, ctx, kept)
-    return _table_check(ctx, "projector_identity", tables, body)
+    stream = functools.partial(_zeta_stream, ctx, kept)
+    return _table_check(ctx, "projector_identity", tables, stream)
 
 
 def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
@@ -282,17 +279,14 @@ def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
     The closed form on |a_1..a_n> is
     zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>.
     """
-    def body(tables):
+    def stream(tables):
         for k in range(1, ctx.n + 1):
             power = rep.PhasedPermutation.identity(ctx)
             for m, closed in enumerate(_odd_power_tables(ctx, k)):
-                what = f"c_{2 * k - 1}^{m} vs its closed form"
-                if detail := _mismatch(ctx, power, closed, what):
-                    return detail
+                yield power, closed, f"c_{2 * k - 1}^{m} vs its closed form"
                 power = tables[2 * k - 2] @ power
-        return None
 
-    return _table_check(ctx, "power_formula", tables, body)
+    return _table_check(ctx, "power_formula", tables, stream)
 
 
 def check_homomorphism(
@@ -315,8 +309,10 @@ def check_homomorphism(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
 
-    def body(tables):
+    def stream(tables):
         rng = random.Random(seed)
         top = ctx.num_generators
         labels, basis = zip(*rep.basis_states(ctx))
@@ -336,10 +332,9 @@ def check_homomorphism(
             for j, (state, b, f) in enumerate(zip(states, table.perm, table.phase)):
                 if state.terms != {labels[b]: roots[f]}:
                     what = f"word {list(word.letters)} vs its normal form"
-                    return _differs(what, labels[j], state, table.column(j))
-        return None
+                    yield _differs(what, labels[j], state, table.column(j))
 
-    return _table_check(ctx, "homomorphism", tables, body, seed)
+    return _table_check(ctx, "homomorphism", tables, stream, seed)
 
 
 ALL_CHECKS = (

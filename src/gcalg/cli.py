@@ -96,10 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks", nargs="+", choices=axioms.ALL_CHECKS, default=None, metavar="NAME",
         help=f"subset of checks to run (default all): {', '.join(axioms.ALL_CHECKS)}")
     for name in ("eval", "matrix"):
-        # argparse reads an argument that starts with "-" as a flag unless it
-        # is a plain number; no flag starts with "-" and a digit, so "-1/2"
-        # and "-2c[1]" are the expression.  argparse has no public setter.
-        commands[name]._negative_number_matcher = re.compile(r"-\d")
+        # argparse reads an unknown argument that starts with "-" as a flag
+        # unless this matcher takes it for a number; the only single-dash
+        # flag, -h, is looked up first, so "-1/2" and "-c[1]" are the
+        # expression.  argparse has no public setter.
+        commands[name]._negative_number_matcher = re.compile(r"-[^-]")
         commands[name].add_argument("expression")
     return parser
 

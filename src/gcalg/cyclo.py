@@ -411,10 +411,11 @@ class ExactVector:
     """A sparse vector with exact coefficients in the ring of an AlgebraContext.
 
     ``terms`` maps keys to nonzero scalars; the empty map is the zero vector.
-    Subclasses validate and normalize keys in ``_key``.  Every constructor
-    and operation prunes sums that reduce to zero, so two vectors are equal
-    iff their maps are termwise equal.  Instances are immutable values and
-    unhashable, like their scalars.
+    The constructor reads each coefficient with ``ctx.scalar``, so it takes
+    rationals too.  Subclasses validate and normalize keys in ``_key``.
+    Every constructor and operation prunes sums that reduce to zero, so two
+    vectors are equal iff their maps are termwise equal.  Instances are
+    immutable values and unhashable, like their scalars.
     """
 
     __slots__ = ("ctx", "terms")
@@ -425,9 +426,7 @@ class ExactVector:
         self.ctx = ctx
         pairs = []
         for key, coeff in (terms or {}).items():
-            key = self._key(key)
-            if coeff.order != ctx.order:
-                raise ContextMismatchError("coefficient ring does not match the context")
+            key, coeff = self._key(key), ctx.scalar(coeff)
             if not coeff.is_zero():
                 pairs.append((key, coeff))
         self.terms = sum_terms(pairs)

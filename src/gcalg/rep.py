@@ -269,8 +269,8 @@ class PhasedPermutation:
     __hash__ = None
 
     def __init__(self, ctx: AlgebraContext, perm, phase):
-        perm = tuple(perm)
-        phase = tuple(f % ctx.order for f in phase)
+        perm = tuple(map(operator.index, perm))
+        phase = tuple(operator.index(f) % ctx.order for f in phase)
         if len(perm) != ctx.dim or len(phase) != ctx.dim:
             raise ValueError(f"expected tables of length {ctx.dim}")
         if any(not 0 <= b < ctx.dim for b in perm):

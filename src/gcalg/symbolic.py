@@ -14,6 +14,7 @@ coefficients.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,7 +98,7 @@ class NormalMonomial:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(self.exps))
+        object.__setattr__(self, "exps", tuple(map(operator.index, self.exps)))
         if len(self.exps) != self.ctx.num_generators:
             raise ValueError(
                 f"expected {self.ctx.num_generators} exponents, got {len(self.exps)}"
@@ -150,7 +151,7 @@ class AlgebraElement(ExactVector):
 
     def _key(self, exps) -> tuple[int, ...]:
         ctx = self.ctx
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(operator.index, exps))
         if len(exps) != ctx.num_generators or any(not 0 <= e < ctx.N for e in exps):
             raise ValueError(f"bad exponent vector {exps} for N={ctx.N}, n={ctx.n}")
         return exps

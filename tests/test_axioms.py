@@ -1,5 +1,6 @@
 """Tests for the identity-verification suite."""
 
+import hashlib
 import random
 import re
 
@@ -114,6 +115,11 @@ class TestSuite:
     def test_homomorphism_requires_trials(self):
         with pytest.raises(ValueError):
             check_homomorphism(AlgebraContext(2, 1), trials=0)
+
+    def test_homomorphism_requires_a_nonnegative_word_length(self):
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            check_homomorphism(AlgebraContext(2, 1), max_len=-1)
+        assert check_homomorphism(AlgebraContext(2, 1), max_len=0).passed
 
 
 class TestFailureReporting:
@@ -385,6 +391,25 @@ class TestFaultCatalogue:
             assert passed["order"] or not passed["unitarity"], fault
             if keeps_ground:
                 assert passed["ground_identity"] or not passed["projector_identity"], fault
+
+    def test_every_counterexample_text_is_pinned(self, monkeypatch):
+        # sha256 over one line per report, under each fault of the catalogue
+        # (in name order) on (3, 2), (4, 2) and (2, 3) under every root: 495
+        # reports, verdict and counterexample text alike.
+        digest = hashlib.sha256()
+        for N, n in ((3, 2), (4, 2), (2, 3)):
+            for zeta_exp in admissible_zeta_exps(N):
+                ctx = AlgebraContext(N, n, zeta_exp)
+                for fault in sorted(faults.FAULTS):
+                    with monkeypatch.context() as patch:
+                        faults.inject(patch, fault)
+                        reports = run_suite(ctx)
+                    for r in reports:
+                        line = f"{N} {n} {zeta_exp} {fault} {r.name} {r.passed} {r.counterexample}"
+                        digest.update(f"{line}\n".encode())
+        assert digest.hexdigest() == (
+            "bcbfe1c8325b6338f46eeb62fb6f25d16ceb7a5a8733960cc4d1380e10d4aa1d"
+        )
 
     @pytest.mark.parametrize("N,n,zeta_exp", SUITE_CONTEXTS)
     def test_counterexamples_replay_through_eval(self, N, n, zeta_exp, monkeypatch):

@@ -112,6 +112,8 @@ class TestParser:
         (["eval", "--N", "3", "--n", "2", "c[1] |0,1>"], 0),
         (["eval", "--N", "3", "--n", "1", "--seed", "1", "c[1]"], 2),
         (["eval", "--N", "3", "--n", "1", "--dense-cap", "5", "c[1]"], 2),
+        (["eval", "--N", "2", "-h"], 0),  # a flag, though "-h" could be an expression
+        (["eval", "--N", "2", "--n", "-1", "c[1]"], 2),
         (["matrix", "--N", "3", "--n", "1", "--format", "csv", "c[1] + c[2]"], 0),
         (["matrix", "--N", "3", "--n", "1", "--dense-cap", "0", "c[1]"], 2),
         (["gram", "--N", "2", "--n", "2", "--format", "json"], 0),
@@ -145,8 +147,15 @@ class TestParser:
     ])
     def test_expression_may_start_with_a_minus_and_a_digit(self, argv, out, capsys):
         # argparse reads such an argument as an unknown flag unless told that
-        # no flag starts with "-" and a digit.
+        # no flag starts with a single "-" (-h is looked up first).
         assert outcome(argv, capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("expression", ["-c[1]", "-(c[1])"])
+    def test_expression_may_start_with_a_minus_and_no_digit(self, expression, capsys):
+        # Not in the grammar, so the expression parser refuses it, not argparse.
+        assert outcome(["eval", "--N", "2", expression], capsys) == (
+            1, "", "error: syntax error at 1:2: expected 'an integer'\n"
+        )
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcalg import AlgebraElement, PhasedPermutation, generator_tables, run_suite
+from gcalg import (AlgebraElement, NormalMonomial, PhasedPermutation, QuditState, basis_state,
+                   generator_tables, run_suite)
 from gcalg.cli import MAX_N
 from gcalg.cyclo import (
     AlgebraContext,
@@ -487,6 +488,32 @@ class TestExactInputs:
         assert _stored(CycloScalar.rational(6, Fraction(6, 3))) == [(0, int, 2)]
         assert AlgebraElement.from_scalar(ctx, "-5/5") == AlgebraElement.from_scalar(ctx, -1)
         assert _stored(CycloScalar(6, {7: "2/4"})) == [(1, Fraction, Fraction(1, 2))]
+
+    @pytest.mark.parametrize("build", [
+        lambda ctx: AlgebraElement(ctx, {(1.7, 0): ctx.one()}),
+        lambda ctx: AlgebraElement(ctx, {("2", 0): ctx.one()}),
+        lambda ctx: AlgebraElement(ctx, {(1.5, 0): ctx.one(), (1, 0): ctx.one()}),
+        lambda ctx: NormalMonomial(ctx, ctx.one(), (1.0, 0)),
+        lambda ctx: PhasedPermutation(ctx, [0.0, 1.0], [0, 0]),
+        lambda ctx: PhasedPermutation(ctx, [0, 1], [0.5, 0]),
+    ], ids=["float-exponent", "string-exponent", "merged-exponents", "monomial-exponent",
+            "position", "phase"])
+    def test_exponents_positions_and_phases_must_be_integers(self, build):
+        # int() would read 1.7 and 1.5 as 1, and "2" as 2.
+        with pytest.raises(TypeError):
+            build(AlgebraContext(2, 1))
+
+    def test_vectors_read_rational_coefficients(self):
+        ctx, other = AlgebraContext(2, 1), AlgebraContext(3, 1)
+        assert QuditState(ctx, {(0,): 1}) == basis_state(ctx, (0,))
+        assert AlgebraElement(ctx, {(0, 0): 2}) == AlgebraElement.from_scalar(ctx, 2)
+        half = QuditState(ctx, {(0,): "1/2", (1,): 0}).terms
+        assert list(half) == [(0,)] and _stored(half[(0,)]) == [(0, Fraction, Fraction(1, 2))]
+        for vector, key in ((QuditState, (0,)), (AlgebraElement, (0, 0))):
+            with pytest.raises(TypeError):
+                vector(ctx, {key: 0.5})
+            with pytest.raises(ContextMismatchError):
+                vector(ctx, {key: other.one()})
 
 
 _orders = st.sampled_from([4, 6, 8, 10, 12])
