@@ -56,6 +56,7 @@ from .rep import (
     NotPhasedPermutationError,
     PhasedPermutation,
     QuditState,
+    WeylForm,
     apply_element,
     apply_even,
     apply_generator,

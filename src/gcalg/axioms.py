@@ -12,7 +12,8 @@ first basis state where the two sides differ.  Counterexamples write exact
 values as ``expr.print_canonical`` does, so ``gcalg eval`` reads each side.
 Seven checks are table checks (unitarity, order, commutation, the
 ground-state and projector identities, power formula, homomorphism): each
-takes the 2n generator tables as an optional last argument and reads them
+takes the 2n generator tables as an optional argument (``tables``; the four
+checks decided on forms, below, take ``forms`` after it) and reads them
 off the representation (``rep.generator_tables``) when it is omitted;
 ``run_suite`` builds them once per call, only when a selected check needs
 them, and passes them to each of those checks.  The tables change no result:
@@ -32,10 +33,25 @@ map from label to amplitude, with the table of the word's normal form
 basis state in basis order whose image differs is named, and a table column
 is built only to write that counterexample.  ``normal_order`` counts swaps
 with the rule that element products use, so this check also checks the
-product rule that ``gcalg eval`` multiplies with.  The power formula's
-closed form reads each basis state's digit a_k and head sum once per k.
-Orthonormality compares ``rep.gram``, the Gram matrix that ``gcalg gram``
-writes, with the identity.
+product rule that ``gcalg eval`` multiplies with.  Orthonormality compares
+``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the identity.
+
+Four table checks are decided on Weyl–Heisenberg forms first
+(``rep.WeylForm``).  ``run_suite`` reads each generator's form off its
+table once per call, at the labels 0 and e_k, and compares the form's
+table with the generator table on every basis state.  When every table is
+its form, two operators agree iff their forms do, so:
+
+* ``commutation`` holds iff <l_i,s_j> - <l_j,s_i> = 2 mod 2N for every
+  pair, the symplectic form of the qudit Pauli group;
+* ``order`` holds iff each form's N-th power is the identity, and so does
+  ``unitarity``, since c^(N-1) = c^dagger iff c^N = 1 for a form;
+* ``power_formula`` compares each power of c_{2k-1}'s form with the
+  paper's closed form, stated as a form for every m in [0, 2N].
+
+A table that is not its form, or an identity that fails on the forms, runs
+the check's table stream through ``_table_check``, which writes the same
+counterexample as a check that is given no forms.
 
 Checked, for every context:
 
@@ -68,6 +84,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -132,16 +149,21 @@ def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str |
     return None
 
 
-def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None) -> CheckReport:
+def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None,
+                 holds=False) -> CheckReport:
     """The report of the first failing item of ``stream(tables)``, or a pass.
 
-    The stream lazily yields comparisons ``(lhs, rhs, what[, positions])`` of
-    two tables, which fail as ``_mismatch`` finds them, and counterexample
-    texts, which fail as they stand; nothing after the first failure is
-    formed.  ``tables`` are the 2n generator tables; when None they are read
-    off the representation, and a generator that is not a table fails the
-    check with the first column that is not +-w^k |b> as counterexample.
+    ``holds`` is True when the generators' forms already decided that the
+    identity holds; the stream then does not run.  The stream lazily yields
+    comparisons ``(lhs, rhs, what[, positions])`` of two tables, which fail
+    as ``_mismatch`` finds them, and counterexample texts, which fail as
+    they stand; nothing after the first failure is formed.  ``tables`` are
+    the 2n generator tables; when None they are read off the
+    representation, and a generator that is not a table fails the check
+    with the first column that is not +-w^k |b> as counterexample.
     """
+    if holds:
+        return CheckReport(ctx, name, True, None, seed)
     try:
         items = stream(rep.generator_tables(ctx) if tables is None else tables)
         details = (item if isinstance(item, str) else _mismatch(ctx, *item) for item in items)
@@ -149,6 +171,20 @@ def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None) -> C
     except rep.NotPhasedPermutationError as exc:
         detail = str(exc)
     return CheckReport(ctx, name, detail is None, detail, seed)
+
+
+def _generator_forms(tables):
+    # The generators' Weyl-Heisenberg forms, each compared with its table on
+    # every basis state, or None when some table is not its form.
+    forms = [rep.WeylForm.of_table(table) for table in tables]
+    return None if any(form is None for form in forms) else forms
+
+
+def _order_holds(ctx: AlgebraContext, forms) -> bool:
+    # c^N = 1 for every form; a form is a bijection with unit phases, so
+    # c^(N-1) = c^dagger holds iff this does.
+    identity = rep.WeylForm.identity(ctx)
+    return forms is not None and all(form ** ctx.N == identity for form in forms)
 
 
 def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
@@ -167,13 +203,14 @@ def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
     return CheckReport(ctx, "zeta_root", detail is None, detail)
 
 
-def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
+def check_unitarity(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
     """Every generator c satisfies c c^dagger = c^dagger c = 1.
 
     Each generator's table must permute the basis labels with root-of-unity
     amplitudes, so its conjugate transpose is again a table and inverts it;
     the check also asserts that the conjugate transpose coincides with the
-    (N-1)-th power of c.
+    (N-1)-th power of c.  With ``forms``, the generators' forms as
+    ``run_suite`` reads them, a pass is decided on the forms: c^N = 1.
     """
     def stream(tables):
         for i, table in enumerate(tables, start=1):
@@ -181,27 +218,38 @@ def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
                 yield f"c_{i} does not permute the basis labels"  # dagger() would raise
             yield table ** (ctx.N - 1), table.dagger(), f"c_{i}^(N-1) vs c_{i}^dagger"
 
-    return _table_check(ctx, "unitarity", tables, stream)
+    return _table_check(ctx, "unitarity", tables, stream, holds=_order_holds(ctx, forms))
 
 
-def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
+def check_order(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
     """Every generator satisfies c^N = 1 on every basis state."""
     def stream(tables):
         identity = rep.PhasedPermutation.identity(ctx)
         for i, table in enumerate(tables, start=1):
             yield table ** ctx.N, identity, f"c_{i}^N vs 1"
 
-    return _table_check(ctx, "order", tables, stream)
+    return _table_check(ctx, "order", tables, stream, holds=_order_holds(ctx, forms))
 
 
-def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
-    """c_i c_j = q c_j c_i for every pair i < j, on every basis state."""
+def check_commutation(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
+    """c_i c_j = q c_j c_i for every pair i < j, on every basis state.
+
+    On forms, c_i c_j and c_j c_i differ by w^(<l_i,s_j> - <l_j,s_i>) at
+    every label, so the pair commutes as stated iff that exponent is 2.
+    """
     def stream(tables):
         for i, j in itertools.combinations(range(1, ctx.num_generators + 1), 2):
             rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
             yield tables[i - 1] @ tables[j - 1], rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"
 
-    return _table_check(ctx, "commutation", tables, stream)
+    def pairing(a, b):  # <l_a, s_b>
+        return sum(map(operator.mul, a.l, b.s))
+
+    holds = forms is not None and all(
+        (pairing(a, b) - pairing(b, a) - 2) % ctx.order == 0
+        for a, b in itertools.combinations(forms, 2)
+    )
+    return _table_check(ctx, "commutation", tables, stream, holds=holds)
 
 
 def _zeta_stream(ctx: AlgebraContext, kept, tables):
@@ -255,38 +303,48 @@ def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
     return CheckReport(ctx, name, True)
 
 
-def _odd_power_tables(ctx: AlgebraContext, k: int):
+def _closed_powers(ctx: AlgebraContext, k: int):
     # The closed forms of c_{2k-1}^m stated in check_power_formula, for
-    # m = 0 .. 2N; raising digit k by m moves the row-major position by a
-    # multiple of its stride.  Each state's digit a_k and head sum
-    # a_1+...+a_{k-1} are read once.
-    N = ctx.N
-    order = ctx.order
-    stride = N ** (ctx.n - k)
-    cells = [(j, d[k - 1], sum(d[: k - 1])) for j, d in enumerate(rep.basis_indices(ctx))]
-    for m in range(2 * N + 1):
-        fixed = ctx.zeta_exp * m + m * (m - 1)  # zeta^m q^{m(m-1)/2}
-        yield rep.PhasedPermutation._raw(
+    # m = 0 .. 2N: shift m e_k, phase zeta^m q^{m(m-1)/2} and linear part
+    # q^{m a_k - m (a_1+...+a_{k-1})}.
+    n = ctx.n
+    for m in range(2 * ctx.N + 1):
+        yield rep.WeylForm(
             ctx,
-            tuple([j + ((ak + m) % N - ak) * stride for j, ak, _ in cells]),
-            tuple([(fixed + 2 * m * (ak - head)) % order for _, ak, head in cells]),
+            [m if j == k else 0 for j in range(1, n + 1)],
+            ctx.zeta_exp * m + m * (m - 1),
+            [-2 * m if j < k else 2 * m if j == k else 0 for j in range(1, n + 1)],
         )
 
 
-def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
+def check_power_formula(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
     """m-fold application of c_{2k-1} matches its closed form for m in [0, 2N].
 
     The closed form on |a_1..a_n> is
-    zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>.
+    zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>,
+    stated as a form; with ``forms`` the powers of c_{2k-1}'s form are
+    compared with it, and otherwise the powers of its table with its table.
     """
-    def stream(tables):
-        for k in range(1, ctx.n + 1):
-            power = rep.PhasedPermutation.identity(ctx)
-            for m, closed in enumerate(_odd_power_tables(ctx, k)):
-                yield power, closed, f"c_{2 * k - 1}^{m} vs its closed form"
-                power = tables[2 * k - 2] @ power
+    def powers(step, identity, k):
+        # (m, c_{2k-1}^m, its closed form) for m = 0 .. 2N.
+        power = identity
+        for m, closed in enumerate(_closed_powers(ctx, k)):
+            yield m, power, closed
+            power = step @ power
 
-    return _table_check(ctx, "power_formula", tables, stream)
+    def stream(tables):
+        identity = rep.PhasedPermutation.identity(ctx)
+        for k in range(1, ctx.n + 1):
+            for m, power, closed in powers(tables[2 * k - 2], identity, k):
+                yield power, closed.table(), f"c_{2 * k - 1}^{m} vs its closed form"
+
+    identity = rep.WeylForm.identity(ctx)
+    holds = forms is not None and all(
+        power == closed
+        for k in range(1, ctx.n + 1)
+        for _, power, closed in powers(forms[2 * k - 2], identity, k)
+    )
+    return _table_check(ctx, "power_formula", tables, stream, holds=holds)
 
 
 def check_homomorphism(
@@ -352,6 +410,9 @@ ALL_CHECKS = (
 # The checks that need no generator tables; run_suite builds the tables once
 # for all the others.
 _TABLELESS_CHECKS = frozenset(("zeta_root", "orthonormal_basis"))
+# The checks that decide a pass on the generators' forms; run_suite reads
+# the forms once for all of them.
+_FORM_CHECKS = frozenset(("unitarity", "order", "commutation", "power_formula"))
 
 
 def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckReport]:
@@ -363,21 +424,23 @@ def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckR
         unknown = [name for name in selection if name not in ALL_CHECKS]
         if unknown:
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
-    tables = None
+    tables = forms = None
     if not _TABLELESS_CHECKS.issuperset(selection):
         # On failure each table check reads the tables again and reports the column.
         with contextlib.suppress(rep.NotPhasedPermutationError):
             tables = rep.generator_tables(ctx)
+    if tables is not None and not _FORM_CHECKS.isdisjoint(selection):
+        forms = _generator_forms(tables)
     # Each check is looked up when it runs, so a wrapper installed later is called.
     runners = {
         "zeta_root": lambda: check_zeta_root(ctx.N, ctx.zeta_exp),
-        "unitarity": lambda: check_unitarity(ctx, tables),
-        "order": lambda: check_order(ctx, tables),
-        "commutation": lambda: check_commutation(ctx, tables),
+        "unitarity": lambda: check_unitarity(ctx, tables, forms),
+        "order": lambda: check_order(ctx, tables, forms),
+        "commutation": lambda: check_commutation(ctx, tables, forms),
         "ground_identity": lambda: check_ground_identity(ctx, tables),
         "projector_identity": lambda: check_projector_identity(ctx, tables),
         "orthonormal_basis": lambda: check_orthonormal_basis(ctx),
-        "power_formula": lambda: check_power_formula(ctx, tables),
+        "power_formula": lambda: check_power_formula(ctx, tables, forms),
         "homomorphism": lambda: check_homomorphism(
             ctx, HOMOMORPHISM_TRIALS_DEFAULT, HOMOMORPHISM_MAX_LEN_DEFAULT, seed, tables
         ),

@@ -36,6 +36,7 @@ map.  ``power_by_squaring`` serves every ``**`` in the package.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,12 +290,15 @@ class CycloScalar:
         return CycloScalar._raw(m, {(-k) % m: v for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
-        """Exact zero test: reduce modulo the cyclotomic polynomial.
+        """Exact zero test: reduce modulo the cyclotomic polynomial, in ints.
 
         A single stored term is a nonzero rational times a root, never zero.
-        For an even order 2N the exponents are first folded into [0, N) by
-        w^N = -1, which Phi_2N respects since it divides x^N + 1.  The
-        reduction steps over the nonzero coefficients of Phi only.
+        Otherwise every entry is multiplied by the lcm of the denominators,
+        which leaves zero and nonzero alone, so the reduction adds and
+        multiplies ints only.  For an even order 2N the exponents are first
+        folded into [0, N) by w^N = -1, which Phi_2N respects since it
+        divides x^N + 1.  The reduction steps over the nonzero coefficients
+        of Phi only.
         """
         coeffs = self.coeffs
         if len(coeffs) < 2:
@@ -303,7 +307,9 @@ class CycloScalar:
         dn, steps = _reduction_row(m)
         size = m if m % 2 else m // 2  # w^(m/2) = -1 for an even order m
         rem = [0] * size
+        den = math.lcm(*[v.denominator for v in coeffs.values()])
         for k, v in coeffs.items():
+            v = v.numerator * (den // v.denominator)
             if k < size:
                 rem[k] += v
             else:
@@ -540,6 +546,9 @@ class AlgebraContext:
     zeta_exp: int | None = None
 
     def __post_init__(self):
+        # Qudit k -> the step map ``rep.generator_tables`` builds for it (see
+        # ``rep._raise_digit``); derived from N and n alone, so no field.
+        object.__setattr__(self, "_steps", {})
         if not isinstance(self.N, int) or self.N < 2:
             raise ValueError("N must be an integer >= 2")
         if not isinstance(self.n, int) or self.n < 1:

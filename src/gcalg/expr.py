@@ -73,10 +73,11 @@ MAX_PAREN_DEPTH = 200
 # long chain or sum of small nodes is bounded as a whole, not node by node.
 # A chain or a power starts from its first factor, so the identity is never a
 # factor of a charged product.  A step takes from about 0.01 us (a leaf or a
-# merge at n = 1024) to about 3.5 us (a product at N = 255, n = 1, where zero
-# tests of merged coefficients are slow), so an evaluation near the budget
-# takes from about 10 ms to about 3.4 s.  The benchmark's evaluations take at
-# most 850 steps.
+# merge at n = 1024) to about 10 us (a product with a projector at N = 255,
+# n = 1, whose zero tests of merged Fraction coefficients are not charged),
+# so an evaluation near the budget takes from about 10 ms to about 10 s
+# (E[1] times the 1296-term sum of c[1]^a c[2]^b, 1047030 steps, 9.9 s).
+# The benchmark's evaluations take at most 850 steps.
 MAX_EVAL_WORK = 2**20
 
 

@@ -16,13 +16,19 @@ labels to amplitudes, the same sparse vector type as an algebra element.
 Operators act term by term on that map, so applying a generator never
 materializes a matrix.  Every letter takes one path: ``apply_generator``
 dispatches on parity to ``apply_odd`` or ``apply_even``, and both call
-``_raise_digit``, which checks the qudit index and builds each raised
-label with one tuple concatenation and rotates each amplitude with
+``_raise_digit``, which rotates each amplitude with
 ``CycloScalar.times_root`` (one index into the shared roots when the
-amplitude is a root).  ``dense_matrix`` exists for exports and cross-checks
-only, and stores only the nonzero entries of each row: at most D times the
-element's terms for dimension D, since every power product is a phased
-permutation.
+amplitude is a root).  It takes each term's raised label, digit a_k and
+head sum a_1+...+a_{k-1} from the context's step map for qudit k, one dict
+lookup per term: ``generator_tables`` builds that map from the basis labels
+for each qudit whose tables it reads, and the raised label is the basis
+label object itself (one stride on, or N - 1 strides back), so no tuple is
+built.  A label outside the map is sliced instead, and so is every label
+of a context without one, after a check of the qudit index: ``eval``,
+``gram`` and a faulty label take that path.  ``dense_matrix`` exists for
+exports and cross-checks only, and stores only the nonzero entries of each
+row: at most D times the element's terms for dimension D, since every power
+product is a phased permutation.
 
 Because every generator sends a basis state to a root of unity times a basis
 state, its whole action also fits in a :class:`PhasedPermutation`: for each
@@ -43,6 +49,13 @@ generator a term uses, each term's coefficient times each root its phases
 use once, and terms times D column steps; ``MAX_EXPORT_WORK`` bounds terms
 times D before any work is done.  The writer in ``gcalg.cli`` then encodes
 each distinct stored map once.
+
+Each of those tables is also a :class:`WeylForm`, |a> -> w^(c + <l,a>)
+|a + s> with a shift s, a constant c and an even linear part l: the qudit
+Weyl–Heisenberg group.  Forms compose and raise to powers in O(n) integer
+steps, and ``WeylForm.of_table`` reads a table's form off its positions 0
+and e_k and then compares the form's whole table with it, so a form stands
+for its table only where the two agree on every basis state.
 """
 
 from __future__ import annotations
@@ -69,6 +82,7 @@ __all__ = [
     "NotPhasedPermutationError",
     "PhasedPermutation",
     "QuditState",
+    "WeylForm",
     "apply_element",
     "apply_even",
     "apply_generator",
@@ -181,24 +195,47 @@ def basis_label(ctx: AlgebraContext, position: int) -> BasisIndex:
 def _raise_digit(k: int, state: QuditState, zeta_power: int) -> QuditState:
     # c_{2k} (zeta_power 0) or c_{2k-1} (zeta_power 1): raise digit k with
     # phase zeta^z q^{z a_k - (a_1+...+a_{k-1})}.  Unit phases cannot cancel
-    # a nonzero amplitude, so nothing is pruned.
+    # a nonzero amplitude, so nothing is pruned.  A label in the context's
+    # step map for qudit k (see ``_add_steps``) takes its raised label, a_k
+    # and head sum from there; any other label is sliced.
     ctx = state.ctx
-    if not 1 <= k <= ctx.n:
-        raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
-    N = ctx.N
+    step = ctx._steps.get(k)
+    if step is None:
+        if not 1 <= k <= ctx.n:
+            raise ValueError(f"qudit index {k} out of range 1..{ctx.n}")
+        step = {}
     zeta = ctx.zeta_exp * zeta_power  # the w-exponent of zeta^z
-    terms = state.terms
     out = {}
-    for digits in terms:
-        head = digits[: k - 1]
-        ak = digits[k - 1]
-        out[head + ((ak + 1) % N,) + digits[k:]] = terms[digits].times_root(
-            zeta + 2 * (zeta_power * ak - sum(head))
-        )
+    for digits, amp in state.terms.items():
+        hit = step.get(digits)
+        if hit is None:
+            head = digits[: k - 1]
+            hit = head + ((digits[k - 1] + 1) % ctx.N,) + digits[k:], digits[k - 1], sum(head)
+        raised, ak, head = hit
+        out[raised] = amp.times_root(zeta + 2 * (zeta_power * ak - head))
     raised = QuditState.__new__(QuditState)
     raised.ctx = ctx
     raised.terms = out
     return raised
+
+
+def _add_steps(ctx: AlgebraContext, labels: list[BasisIndex], qudits) -> None:
+    # For each qudit k of ``qudits`` that has none yet, the context's step
+    # map: each basis label of ``labels`` (all of them, in row-major order)
+    # -> (the label of ``labels`` with digit k raised mod N, a_k,
+    # a_1+...+a_{k-1}).  Raising digit k moves one stride on, or N - 1
+    # strides back from N - 1, so no label is built.
+    N = ctx.N
+    steps = ctx._steps
+    for k in qudits:
+        if k not in steps:
+            stride = N ** (ctx.n - k)
+            back = (N - 1) * stride
+            steps[k] = {
+                label: (labels[j - back if label[k - 1] == N - 1 else j + stride],
+                        label[k - 1], sum(label[: k - 1]))
+                for j, label in enumerate(labels)
+            }
 
 
 def apply_even(k: int, state: QuditState) -> QuditState:
@@ -350,6 +387,110 @@ class PhasedPermutation:
         )
 
 
+class WeylForm:
+    """The operator |a> -> w^(c + <l,a>) |a + s> on basis labels.
+
+    ``s`` is a shift in Z_N^n, ``c`` a phase exponent mod 2N and ``l`` a
+    tuple of even exponents mod 2N, so that a digit wrapping mod N leaves
+    the phase alone.  Every power product of the generators acts so: the
+    qudit Weyl–Heisenberg group, Z_N^{2n} with a phase cocycle.  ``a @ b``
+    is a applied after b, as for tables:
+    (s, c, l) @ (s', c', l') = (s + s', c + c' + <l,s'>, l + l').
+    Instances are immutable values, and two forms are equal iff their
+    tables are.
+    """
+
+    __slots__ = ("ctx", "s", "c", "l")
+
+    __hash__ = None
+
+    def __init__(self, ctx: AlgebraContext, s, c: int, l):
+        N, m = ctx.N, ctx.order
+        s = tuple(operator.index(x) % N for x in s)
+        l = tuple(operator.index(x) % m for x in l)
+        if len(s) != ctx.n or len(l) != ctx.n:
+            raise ValueError(f"expected s and l of length {ctx.n}")
+        if any(x % 2 for x in l):
+            raise ValueError("the entries of l must be even")
+        self.ctx = ctx
+        self.s = s
+        self.c = operator.index(c) % m
+        self.l = l
+
+    @classmethod
+    def _raw(cls, ctx: AlgebraContext, s: tuple, c: int, l: tuple) -> WeylForm:
+        form = cls.__new__(cls)
+        form.ctx = ctx
+        form.s = s
+        form.c = c
+        form.l = l
+        return form
+
+    @classmethod
+    def identity(cls, ctx: AlgebraContext) -> WeylForm:
+        return cls._raw(ctx, (0,) * ctx.n, 0, (0,) * ctx.n)
+
+    @classmethod
+    def of_table(cls, table: PhasedPermutation) -> WeylForm | None:
+        """The form whose table is ``table``, or None when there is none.
+
+        The form is read off the positions of the labels 0 and e_k, then its
+        table is compared with ``table`` at every basis position.
+        """
+        ctx = table.ctx
+        c = table.phase[0]
+        l = [table.phase[ctx.N ** (ctx.n - k)] - c for k in range(1, ctx.n + 1)]
+        if any(x % 2 for x in l):
+            return None
+        form = cls(ctx, basis_label(ctx, table.perm[0]), c, l)
+        return form if form.table() == table else None
+
+    def __matmul__(self, other):
+        if not isinstance(other, WeylForm):
+            return NotImplemented
+        ctx = self.ctx
+        if other.ctx != ctx:
+            raise ContextMismatchError("forms from different contexts")
+        N, m = ctx.N, ctx.order
+        return WeylForm._raw(
+            ctx,
+            tuple([(x + y) % N for x, y in zip(self.s, other.s)]),
+            (self.c + other.c + sum(map(operator.mul, self.l, other.s))) % m,
+            tuple([(x + y) % m for x, y in zip(self.l, other.l)]),
+        )
+
+    def __pow__(self, k: int) -> WeylForm:
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise ValueError("negative powers are not defined")
+        return power_by_squaring(self, k, WeylForm.identity(self.ctx), operator.matmul)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylForm):
+            return NotImplemented
+        return (self.s == other.s and self.c == other.c and self.l == other.l
+                and self.ctx == other.ctx)
+
+    def __repr__(self) -> str:
+        return (
+            f"WeylForm(N={self.ctx.N}, n={self.ctx.n}, "
+            f"s={self.s}, c={self.c}, l={self.l})"
+        )
+
+    def table(self) -> PhasedPermutation:
+        """The form's action on every basis label, built qudit by qudit."""
+        ctx = self.ctx
+        N, m = ctx.N, ctx.order
+        perm, phase = [0], [self.c]
+        for sk, lk in zip(self.s, self.l):
+            targets = [(d + sk) % N for d in range(N)]
+            turns = [lk * d for d in range(N)]
+            perm = [p * N + t for p in perm for t in targets]
+            phase = [f + g for f in phase for g in turns]
+        return PhasedPermutation._raw(ctx, tuple(perm), tuple([f % m for f in phase]))
+
+
 def generator_tables(ctx: AlgebraContext, indices=None) -> list[PhasedPermutation | None]:
     """Tables of c_1 .. c_2n, read off by applying ``apply_generator`` to every basis state.
 
@@ -362,7 +503,9 @@ def generator_tables(ctx: AlgebraContext, indices=None) -> list[PhasedPermutatio
     states = basis_states(ctx)
     position = {label: j for j, (label, _) in enumerate(states)}
     tables = [None] * ctx.num_generators
-    for i in range(1, ctx.num_generators + 1) if indices is None else sorted(indices):
+    read = range(1, ctx.num_generators + 1) if indices is None else sorted(indices)
+    _add_steps(ctx, list(position), {(i + 1) // 2 for i in read if 1 <= i <= ctx.num_generators})
+    for i in read:
         perm = []
         phase = []
         for label, state in states:

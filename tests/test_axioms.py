@@ -348,6 +348,119 @@ class TestOneBodyPerCheck:
         assert " vs its normal form on |" in reports["homomorphism"]
 
 
+# The four checks that run_suite decides on the generators' forms.
+FORM_CHECKS = ("unitarity", "order", "commutation", "power_formula")
+
+
+class TestFormPath:
+    @pytest.mark.parametrize("m", ["2N", "2N-1"])
+    def test_power_formula_compares_every_power_up_to_2N(self, m, monkeypatch):
+        # A closed form of c_3 that is wrong at m = 2N, or at m = 2N - 1
+        # alone, fails on the forms (run_suite, or forms passed) and on the
+        # tables (the check alone), with the same text.
+        ctx = AlgebraContext(3, 2)
+        wrong = 2 * ctx.N - (m == "2N-1")
+        original = axioms._closed_powers
+
+        def closed_powers(ctx, k):
+            for power, form in enumerate(original(ctx, k)):
+                bad = (power, k) == (wrong, 2)
+                yield rep.WeylForm(ctx, form.s, form.c + 2, form.l) if bad else form
+
+        monkeypatch.setattr(axioms, "_closed_powers", closed_powers)
+        tables = rep.generator_tables(ctx)
+        forms = axioms._generator_forms(tables)
+        assert forms is not None
+        expected = {
+            "2N": "c_3^6 vs its closed form on |(0, 0)>: |0,0> differs from q * |0,0>",
+            "2N-1": "c_3^5 vs its closed form on |(0, 0)>: q^2 * |0,2> differs from |0,2>",
+        }[m]
+        for report in (
+            {r.name: r for r in run_suite(ctx)}["power_formula"],
+            axioms.check_power_formula(ctx, tables, forms),
+            axioms.check_power_formula(ctx, tables),
+            axioms.check_power_formula(ctx),
+        ):
+            assert (report.passed, report.counterexample) == (False, expected)
+
+    @pytest.mark.parametrize("N,n,zeta_exp,expected", [
+        (3, 2, None, (
+            "c_1^(N-1) vs c_1^dagger on |(0, 2)>: q^2 * |2,2> differs from q * |2,2>",
+            "c_1^N vs 1 on |(0, 2)>: q * |0,2> differs from |0,2>",
+            "c_1c_2 vs q c_2c_1 on |(1, 2)>: q^2 * |0,2> differs from q * |0,2>",
+            "c_1^1 vs its closed form on |(2, 2)>: q^2 * |0,2> differs from q * |0,2>",
+        )),
+        (2, 3, 3, (
+            "c_1^(N-1) vs c_1^dagger on |(0, 1, 1)>: "
+            "zeta * |1,1,1> differs from q * zeta * |1,1,1>",
+            "c_1^N vs 1 on |(0, 1, 1)>: q * |0,1,1> differs from |0,1,1>",
+            "c_1c_2 vs q c_2c_1 on |(0, 1, 1)>: zeta * |0,1,1> differs from q * zeta * |0,1,1>",
+            "c_1^1 vs its closed form on |(1, 1, 1)>: "
+            "zeta * |0,1,1> differs from q * zeta * |0,1,1>",
+        )),
+    ])
+    def test_a_table_off_its_form_at_the_last_basis_state_fails(
+        self, N, n, zeta_exp, expected, monkeypatch
+    ):
+        # c_1 picks up an extra q on the last basis state only, so its form
+        # read at 0 and e_k is the true one: only the comparison on every
+        # basis state sends the four checks to their tables.
+        ctx = AlgebraContext(N, n, zeta_exp)
+        last = (N - 1,) * n
+        original = rep.apply_odd
+
+        def odd(k, state):
+            out = original(k, state)
+            return ctx.q() * out if k == 1 and last in state.amps else out
+
+        monkeypatch.setattr(rep, "apply_odd", odd)
+        tables = rep.generator_tables(ctx)
+        assert axioms._generator_forms(tables) is None
+        reports = {r.name: r for r in run_suite(ctx)}
+        for name, text in zip(FORM_CHECKS, expected):
+            assert (reports[name].passed, reports[name].counterexample) == (False, text)
+            assert reports[name] == getattr(axioms, "check_" + name)(ctx, tables)
+
+    @pytest.mark.parametrize("N,n,zeta_exp", SUITE_CONTEXTS + [(2, 3, 1), (2, 3, 3)])
+    def test_forms_decide_as_the_tables_do(self, N, n, zeta_exp, monkeypatch):
+        # Under every fault whose tables are all forms, each of the four
+        # checks gives the same report on the forms as on the tables.
+        ctx = AlgebraContext(N, n, zeta_exp)
+        decided = 0
+        for fault in ("none", *faults.FAULTS):
+            with monkeypatch.context() as patch:
+                if fault != "none":
+                    faults.inject(patch, fault)
+                try:
+                    tables = rep.generator_tables(ctx)
+                except rep.NotPhasedPermutationError:
+                    continue
+                forms = axioms._generator_forms(tables)
+                if forms is None:
+                    continue
+                decided += 1
+                for name in FORM_CHECKS:
+                    check = getattr(axioms, "check_" + name)
+                    assert check(ctx, tables, forms) == check(ctx, tables), (fault, name)
+        assert decided >= 8
+
+    def test_suite_reads_the_forms_once(self, monkeypatch):
+        ctx = AlgebraContext(3, 2)
+        read = []
+        original = rep.WeylForm.of_table
+        monkeypatch.setattr(
+            rep.WeylForm, "of_table", lambda table: read.append(table) or original(table)
+        )
+        assert all(r.passed for r in run_suite(ctx))
+        assert len(read) == ctx.num_generators
+        read.clear()
+        run_suite(ctx, ["commutation", "homomorphism"])
+        assert len(read) == ctx.num_generators
+        read.clear()
+        run_suite(ctx, ["ground_identity", "homomorphism"])
+        assert read == []
+
+
 # The verdict of each check under each fault of the catalogue, in ALL_CHECKS
 # order (zeta_root, unitarity, order, commutation, ground_identity,
 # projector_identity, orthonormal_basis, power_formula, homomorphism), as

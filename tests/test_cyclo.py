@@ -463,6 +463,35 @@ class TestMergeRule:
             assert _stored(a * b) == _stored(loop_product(a, b))
 
 
+class TestZeroTestInIntegers:
+    # is_zero clears the denominators and reduces in ints; the literal
+    # reduction over Fractions is its oracle.  Half the draws are a Fraction
+    # multiple of Phi_m (zero), optionally plus one Fraction times a root.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fraction_entries_agree_with_the_literal_reduction(self, data):
+        m = data.draw(st.integers(2, 510), label="order")
+        fractions = st.fractions(-5, 5, max_denominator=12).filter(bool)
+        phi = cyclotomic_polynomial(m)
+        if data.draw(st.booleans(), label="multiple of Phi"):
+            factor = data.draw(st.dictionaries(
+                st.integers(0, m - len(phi)), fractions, min_size=1, max_size=4,
+            ), label="factor")
+            coeffs = {}
+            for a, x in factor.items():
+                for b, d in enumerate(phi):
+                    coeffs[a + b] = coeffs.get(a + b, 0) + x * d
+            if data.draw(st.booleans(), label="plus a root"):
+                k = data.draw(st.integers(0, m - 1), label="root")
+                coeffs[k] = coeffs.get(k, 0) + data.draw(fractions, label="weight")
+        else:
+            coeffs = data.draw(st.dictionaries(
+                st.integers(0, m - 1), fractions, min_size=2, max_size=24,
+            ), label="entries")
+        s = CycloScalar(m, coeffs)
+        assert s.is_zero() == literal_is_zero(s)
+
+
 class TestExactInputs:
     # A float's binary value is never the rational that was meant.
     @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 0.0, -2.0])

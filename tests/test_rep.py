@@ -10,6 +10,7 @@ from gcalg import (
     ContextMismatchError,
     DenseCapError,
     PhasedPermutation,
+    WeylForm,
     Word,
     apply_element,
     apply_even,
@@ -433,6 +434,104 @@ class TestPhasedPermutation:
             PhasedPermutation(ctx, [0, 2], [0, 0])
         with pytest.raises(ContextMismatchError):
             PhasedPermutation.identity(ctx) @ PhasedPermutation.identity(AlgebraContext(2, 2))
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
+    def test_steps_act_as_the_slices_do(self, N, n, zeta_exp):
+        # Every letter on every basis state and on a random multi-term state
+        # gives the same state once the steps are built, and each raised
+        # label is the key object of the same map.
+        ctx = AlgebraContext(N, n, zeta_exp)
+        rng = random.Random(17 * N + n)
+        states = [basis_state(ctx, d) for d in basis_indices(ctx)] + [random_state(rng, ctx)]
+        letters = range(1, ctx.num_generators + 1)
+        before = [[apply_generator(i, s) for s in states] for i in letters]
+        generator_tables(ctx)
+        assert sorted(ctx._steps) == list(range(1, n + 1))
+        for k, step in ctx._steps.items():
+            assert list(step) == list(basis_indices(ctx))
+            labels = {label: label for label in step}
+            for label, (raised, ak, head) in step.items():
+                assert raised is labels[raised]
+                assert raised == label[: k - 1] + ((label[k - 1] + 1) % N,) + label[k:]
+                assert (ak, head) == (label[k - 1], sum(label[: k - 1]))
+        assert [[apply_generator(i, s) for s in states] for i in letters] == before
+
+    def test_steps_are_built_for_the_qudits_read_only(self):
+        ctx = AlgebraContext(3, 3)
+        generator_tables(ctx, {3, 4})
+        assert sorted(ctx._steps) == [2]
+        generator_tables(ctx, {1, 6})
+        assert sorted(ctx._steps) == [1, 2, 3]
+
+    def test_a_label_without_a_step_is_sliced(self):
+        # A step map that lacks a label (as for a faulty one) leaves that
+        # label to the slices, and an index outside 1..n is still refused.
+        ctx = AlgebraContext(3, 2)
+        generator_tables(ctx)
+        del ctx._steps[1][(2, 1)]
+        assert apply_odd(1, basis_state(ctx, (2, 1))) == (
+            ctx.zeta() * ctx.q(2) * basis_state(ctx, (0, 1))
+        )
+        with pytest.raises(ValueError, match="qudit index"):
+            apply_even(3, ground_state(ctx))
+
+
+class TestWeylForm:
+    @pytest.mark.parametrize("N,n,zeta_exp", TABLE_CONTEXTS)
+    def test_forms_compose_as_their_tables(self, N, n, zeta_exp):
+        ctx = AlgebraContext(N, n, zeta_exp)
+        tables = generator_tables(ctx)
+        forms = [WeylForm.of_table(table) for table in tables]
+        assert [form.table() for form in forms] == tables
+        rng = random.Random(7 * N + n)
+        for _ in range(20):
+            word = random_word(rng, ctx, 8)
+            form, table = WeylForm.identity(ctx), PhasedPermutation.identity(ctx)
+            for letter in word.letters:
+                form, table = form @ forms[letter - 1], table @ tables[letter - 1]
+            assert form.table() == table
+            e = rng.randrange(3 * N)
+            assert (form ** e).table() == table ** e
+            assert WeylForm.of_table(table) == form
+
+    def test_generator_forms(self):
+        # c_{2k}: shift e_k, phase q^{-(a_1+...+a_{k-1})}; c_{2k-1} adds zeta q^{a_k}.
+        ctx = AlgebraContext(3, 2)
+        forms = [WeylForm.of_table(table) for table in generator_tables(ctx)]
+        assert forms == [
+            WeylForm(ctx, (1, 0), ctx.zeta_exp, (2, 0)),
+            WeylForm(ctx, (1, 0), 0, (0, 0)),
+            WeylForm(ctx, (0, 1), ctx.zeta_exp, (-2, 2)),
+            WeylForm(ctx, (0, 1), 0, (-2, 0)),
+        ]
+
+    def test_a_table_that_differs_anywhere_has_no_form(self):
+        # Each table differs from c_1's only at its last basis position or
+        # in an odd phase step; reading at 0 and e_k alone would miss the first.
+        ctx = AlgebraContext(3, 2)
+        c1 = generator_tables(ctx)[0]
+        last = ctx.dim - 1
+        moved = PhasedPermutation(ctx, c1.perm, c1.phase[:last] + (c1.phase[last] + 2,))
+        swapped = PhasedPermutation(ctx, c1.perm[:-2] + c1.perm[:-3:-1], c1.phase)
+        odd = PhasedPermutation(ctx, c1.perm, [f + j for j, f in enumerate(c1.phase)])
+        for table in (moved, swapped, odd):
+            assert WeylForm.of_table(table) is None
+
+    def test_constructor_validates(self):
+        ctx = AlgebraContext(3, 2)
+        assert WeylForm(ctx, (4, -1), 7, (8, -2)) == WeylForm(ctx, (1, 2), 1, (2, 4))
+        with pytest.raises(ValueError):
+            WeylForm(ctx, (1,), 0, (0, 0))
+        with pytest.raises(ValueError):
+            WeylForm(ctx, (1, 0), 0, (1, 0))
+        with pytest.raises(TypeError):
+            WeylForm(ctx, (1.0, 0), 0, (0, 0))
+        with pytest.raises(ValueError):
+            WeylForm.identity(ctx) ** -1
+        with pytest.raises(ContextMismatchError):
+            WeylForm.identity(ctx) @ WeylForm.identity(AlgebraContext(3, 3))
 
 
 class TestJson:
