@@ -12,9 +12,9 @@ first basis state where the two sides differ.  Counterexamples write exact
 values as ``expr.print_canonical`` does, so ``gcalg eval`` reads each side.
 Seven checks are table checks (unitarity, order, commutation, the
 ground-state and projector identities, power formula, homomorphism): each
-takes the 2n generator tables as an optional argument (``tables``; the four
-checks decided on forms, below, take ``forms`` after it) and reads them
-off the representation (``rep.generator_tables``) when it is omitted;
+takes the 2n generator tables as an optional argument (``tables``) and
+reads them off the representation (``rep.generator_tables``) when it is
+omitted;
 ``run_suite`` builds them once per call, only when a selected check needs
 them, and passes them to each of those checks.  The tables change no result:
 a generator that is not such a table fails every table check with the
@@ -36,22 +36,23 @@ with the rule that element products use, so this check also checks the
 product rule that ``gcalg eval`` multiplies with.  Orthonormality compares
 ``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the identity.
 
-Four table checks are decided on Weyl–Heisenberg forms first
-(``rep.WeylForm``).  ``run_suite`` reads each generator's form off its
-table once per call, at the labels 0 and e_k, and compares the form's
-table with the generator table on every basis state.  When every table is
-its form, two operators agree iff their forms do, so:
-
-* ``commutation`` holds iff <l_i,s_j> - <l_j,s_i> = 2 mod 2N for every
-  pair, the symplectic form of the qudit Pauli group;
-* ``order`` holds iff each form's N-th power is the identity, and so does
-  ``unitarity``, since c^(N-1) = c^dagger iff c^N = 1 for a form;
-* ``power_formula`` compares each power of c_{2k-1}'s form with the
-  paper's closed form, stated as a form for every m in [0, 2N].
-
-A table that is not its form, or an identity that fails on the forms, runs
-the check's table stream through ``_table_check``, which writes the same
-counterexample as a check that is given no forms.
+Four table checks compare whole operators: unitarity, order, commutation
+and the power formula.  For them a generator's Weyl–Heisenberg form
+(``rep.WeylForm``) serves as well as its table.  Forms answer the
+operations the streams use (``@``, powers, ``dagger``, ``scaled``,
+``is_bijection`` and ``identity``), and two forms are equal iff their
+tables are.  Forms are enough because they compose in closed form, in
+O(n) integer steps, and commute up to a phase: two forms A and B satisfy
+A B = w^(<l_A,s_B> - <l_B,s_A>) B A, the symplectic form of the qudit
+Pauli group.
+``run_suite`` reads each generator's form off its table once per call, at
+the labels 0 and e_k, and compares the form's table with the generator
+table on every basis state.  When every table is its form it passes the
+forms in the ``tables`` slot of these four checks, and the tables
+otherwise.  Each of them states its identity once, over either type.
+``_mismatch`` turns a form into its table only when the two sides differ,
+or when a table meets the power formula's closed form, so each
+counterexample is the one the tables give.
 
 Checked, for every context:
 
@@ -84,7 +85,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 
@@ -135,10 +135,16 @@ def _differs(what: str, label, lhs: rep.QuditState, rhs: rep.QuditState) -> str:
 
 
 def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str | None:
-    """None when two tables agree, else both columns at the first basis state where they differ.
+    """None when two operators agree, else both columns at the first basis state that differs.
 
-    With ``positions``, ascending basis positions, only those are compared.
+    Each side is a table or a form; a form turns into its table only when
+    the two sides are not equal as they stand, so a table compared with a
+    closed form is compared as tables.  With ``positions``, ascending basis
+    positions, only those are compared.
     """
+    if positions is None and lhs == rhs:
+        return None
+    lhs, rhs = (op if isinstance(op, rep.PhasedPermutation) else op.table() for op in (lhs, rhs))
     if positions is None:
         if lhs == rhs:
             return None
@@ -149,21 +155,18 @@ def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str |
     return None
 
 
-def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None,
-                 holds=False) -> CheckReport:
+def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None) -> CheckReport:
     """The report of the first failing item of ``stream(tables)``, or a pass.
 
-    ``holds`` is True when the generators' forms already decided that the
-    identity holds; the stream then does not run.  The stream lazily yields
-    comparisons ``(lhs, rhs, what[, positions])`` of two tables, which fail
-    as ``_mismatch`` finds them, and counterexample texts, which fail as
-    they stand; nothing after the first failure is formed.  ``tables`` are
-    the 2n generator tables; when None they are read off the
-    representation, and a generator that is not a table fails the check
-    with the first column that is not +-w^k |b> as counterexample.
+    The stream lazily yields comparisons ``(lhs, rhs, what[, positions])``
+    of two operators, which fail as ``_mismatch`` finds them, and
+    counterexample texts, which fail as they stand; nothing after the first
+    failure is formed.  ``tables`` are the 2n generator tables, or for the
+    checks that compare whole operators their forms; when None the tables
+    are read off the representation, and a generator that is not a table
+    fails the check with the first column that is not +-w^k |b> as
+    counterexample.
     """
-    if holds:
-        return CheckReport(ctx, name, True, None, seed)
     try:
         items = stream(rep.generator_tables(ctx) if tables is None else tables)
         details = (item if isinstance(item, str) else _mismatch(ctx, *item) for item in items)
@@ -178,13 +181,6 @@ def _generator_forms(tables):
     # every basis state, or None when some table is not its form.
     forms = [rep.WeylForm.of_table(table) for table in tables]
     return None if any(form is None for form in forms) else forms
-
-
-def _order_holds(ctx: AlgebraContext, forms) -> bool:
-    # c^N = 1 for every form; a form is a bijection with unit phases, so
-    # c^(N-1) = c^dagger holds iff this does.
-    identity = rep.WeylForm.identity(ctx)
-    return forms is not None and all(form ** ctx.N == identity for form in forms)
 
 
 def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
@@ -203,53 +199,41 @@ def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
     return CheckReport(ctx, "zeta_root", detail is None, detail)
 
 
-def check_unitarity(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
+def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
     """Every generator c satisfies c c^dagger = c^dagger c = 1.
 
     Each generator's table must permute the basis labels with root-of-unity
     amplitudes, so its conjugate transpose is again a table and inverts it;
     the check also asserts that the conjugate transpose coincides with the
-    (N-1)-th power of c.  With ``forms``, the generators' forms as
-    ``run_suite`` reads them, a pass is decided on the forms: c^N = 1.
+    (N-1)-th power of c.  Given the generators' forms, it compares forms.
     """
-    def stream(tables):
-        for i, table in enumerate(tables, start=1):
-            if not table.is_bijection():
+    def stream(ops):
+        for i, op in enumerate(ops, start=1):
+            if not op.is_bijection():
                 yield f"c_{i} does not permute the basis labels"  # dagger() would raise
-            yield table ** (ctx.N - 1), table.dagger(), f"c_{i}^(N-1) vs c_{i}^dagger"
+            yield op ** (ctx.N - 1), op.dagger(), f"c_{i}^(N-1) vs c_{i}^dagger"
 
-    return _table_check(ctx, "unitarity", tables, stream, holds=_order_holds(ctx, forms))
+    return _table_check(ctx, "unitarity", tables, stream)
 
 
-def check_order(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
+def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
     """Every generator satisfies c^N = 1 on every basis state."""
-    def stream(tables):
-        identity = rep.PhasedPermutation.identity(ctx)
-        for i, table in enumerate(tables, start=1):
-            yield table ** ctx.N, identity, f"c_{i}^N vs 1"
+    def stream(ops):
+        identity = type(ops[0]).identity(ctx)
+        for i, op in enumerate(ops, start=1):
+            yield op ** ctx.N, identity, f"c_{i}^N vs 1"
 
-    return _table_check(ctx, "order", tables, stream, holds=_order_holds(ctx, forms))
+    return _table_check(ctx, "order", tables, stream)
 
 
-def check_commutation(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
-    """c_i c_j = q c_j c_i for every pair i < j, on every basis state.
-
-    On forms, c_i c_j and c_j c_i differ by w^(<l_i,s_j> - <l_j,s_i>) at
-    every label, so the pair commutes as stated iff that exponent is 2.
-    """
-    def stream(tables):
+def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
+    """c_i c_j = q c_j c_i for every pair i < j, on every basis state."""
+    def stream(ops):
         for i, j in itertools.combinations(range(1, ctx.num_generators + 1), 2):
-            rhs = (tables[j - 1] @ tables[i - 1]).scaled(2)  # q = w^2
-            yield tables[i - 1] @ tables[j - 1], rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"
+            rhs = (ops[j - 1] @ ops[i - 1]).scaled(2)  # q = w^2
+            yield ops[i - 1] @ ops[j - 1], rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"
 
-    def pairing(a, b):  # <l_a, s_b>
-        return sum(map(operator.mul, a.l, b.s))
-
-    holds = forms is not None and all(
-        (pairing(a, b) - pairing(b, a) - 2) % ctx.order == 0
-        for a, b in itertools.combinations(forms, 2)
-    )
-    return _table_check(ctx, "commutation", tables, stream, holds=holds)
+    return _table_check(ctx, "commutation", tables, stream)
 
 
 def _zeta_stream(ctx: AlgebraContext, kept, tables):
@@ -317,34 +301,23 @@ def _closed_powers(ctx: AlgebraContext, k: int):
         )
 
 
-def check_power_formula(ctx: AlgebraContext, tables=None, forms=None) -> CheckReport:
+def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
     """m-fold application of c_{2k-1} matches its closed form for m in [0, 2N].
 
     The closed form on |a_1..a_n> is
     zeta^m q^{m a_k + m(m-1)/2} q^{-m (a_1+..+a_{k-1})} |.., a_k + m, ..>,
-    stated as a form; with ``forms`` the powers of c_{2k-1}'s form are
-    compared with it, and otherwise the powers of its table with its table.
+    stated as a form; each power of c_{2k-1}, a table or a form as the
+    generators are given, is compared with it.
     """
-    def powers(step, identity, k):
-        # (m, c_{2k-1}^m, its closed form) for m = 0 .. 2N.
-        power = identity
-        for m, closed in enumerate(_closed_powers(ctx, k)):
-            yield m, power, closed
-            power = step @ power
-
-    def stream(tables):
-        identity = rep.PhasedPermutation.identity(ctx)
+    def stream(ops):
         for k in range(1, ctx.n + 1):
-            for m, power, closed in powers(tables[2 * k - 2], identity, k):
-                yield power, closed.table(), f"c_{2 * k - 1}^{m} vs its closed form"
+            step = ops[2 * k - 2]
+            power = type(step).identity(ctx)
+            for m, closed in enumerate(_closed_powers(ctx, k)):
+                yield power, closed, f"c_{2 * k - 1}^{m} vs its closed form"
+                power = step @ power
 
-    identity = rep.WeylForm.identity(ctx)
-    holds = forms is not None and all(
-        power == closed
-        for k in range(1, ctx.n + 1)
-        for _, power, closed in powers(forms[2 * k - 2], identity, k)
-    )
-    return _table_check(ctx, "power_formula", tables, stream, holds=holds)
+    return _table_check(ctx, "power_formula", tables, stream)
 
 
 def check_homomorphism(
@@ -410,8 +383,8 @@ ALL_CHECKS = (
 # The checks that need no generator tables; run_suite builds the tables once
 # for all the others.
 _TABLELESS_CHECKS = frozenset(("zeta_root", "orthonormal_basis"))
-# The checks that decide a pass on the generators' forms; run_suite reads
-# the forms once for all of them.
+# The checks that compare whole operators, so that the generators' forms
+# serve for their tables; run_suite reads the forms once for all of them.
 _FORM_CHECKS = frozenset(("unitarity", "order", "commutation", "power_formula"))
 
 
@@ -431,16 +404,17 @@ def run_suite(ctx: AlgebraContext, selection=None, seed: int = 0) -> list[CheckR
             tables = rep.generator_tables(ctx)
     if tables is not None and not _FORM_CHECKS.isdisjoint(selection):
         forms = _generator_forms(tables)
+    ops = tables if forms is None else forms
     # Each check is looked up when it runs, so a wrapper installed later is called.
     runners = {
         "zeta_root": lambda: check_zeta_root(ctx.N, ctx.zeta_exp),
-        "unitarity": lambda: check_unitarity(ctx, tables, forms),
-        "order": lambda: check_order(ctx, tables, forms),
-        "commutation": lambda: check_commutation(ctx, tables, forms),
+        "unitarity": lambda: check_unitarity(ctx, ops),
+        "order": lambda: check_order(ctx, ops),
+        "commutation": lambda: check_commutation(ctx, ops),
         "ground_identity": lambda: check_ground_identity(ctx, tables),
         "projector_identity": lambda: check_projector_identity(ctx, tables),
         "orthonormal_basis": lambda: check_orthonormal_basis(ctx),
-        "power_formula": lambda: check_power_formula(ctx, tables, forms),
+        "power_formula": lambda: check_power_formula(ctx, ops),
         "homomorphism": lambda: check_homomorphism(
             ctx, HOMOMORPHISM_TRIALS_DEFAULT, HOMOMORPHISM_MAX_LEN_DEFAULT, seed, tables
         ),

@@ -52,10 +52,13 @@ each distinct stored map once.
 
 Each of those tables is also a :class:`WeylForm`, |a> -> w^(c + <l,a>)
 |a + s> with a shift s, a constant c and an even linear part l: the qudit
-Weyl–Heisenberg group.  Forms compose and raise to powers in O(n) integer
-steps, and ``WeylForm.of_table`` reads a table's form off its positions 0
-and e_k and then compares the form's whole table with it, so a form stands
-for its table only where the two agree on every basis state.
+Weyl–Heisenberg group.  A form answers the operations of a table that the
+axiom checks use (``@``, powers, ``dagger``, ``scaled``, ``is_bijection``
+and ``identity``) in O(n) integer steps, and two forms commute up to the
+phase w^(<l_A,s_B> - <l_B,s_A>), the symplectic form of the qudit Pauli
+group.  ``WeylForm.of_table`` reads a table's form off its positions 0 and
+e_k and then compares the form's whole table with it, so a form stands for
+its table only where the two agree on every basis state.
 """
 
 from __future__ import annotations
@@ -449,14 +452,14 @@ class WeylForm:
         if not isinstance(other, WeylForm):
             return NotImplemented
         ctx = self.ctx
-        if other.ctx != ctx:
+        if other.ctx is not ctx and other.ctx != ctx:
             raise ContextMismatchError("forms from different contexts")
         N, m = ctx.N, ctx.order
         return WeylForm._raw(
             ctx,
-            tuple([(x + y) % N for x, y in zip(self.s, other.s)]),
+            tuple(map(N.__rmod__, map(operator.add, self.s, other.s))),
             (self.c + other.c + sum(map(operator.mul, self.l, other.s))) % m,
-            tuple([(x + y) % m for x, y in zip(self.l, other.l)]),
+            tuple(map(m.__rmod__, map(operator.add, self.l, other.l))),
         )
 
     def __pow__(self, k: int) -> WeylForm:
@@ -466,11 +469,24 @@ class WeylForm:
             raise ValueError("negative powers are not defined")
         return power_by_squaring(self, k, WeylForm.identity(self.ctx), operator.matmul)
 
+    def is_bijection(self) -> bool:
+        """Always True: a form shifts every label by s."""
+        return True
+
+    def dagger(self) -> WeylForm:
+        """The inverse |a + s> -> w^(-c - <l,a>) |a>: (-s, <l,s> - c, -l)."""
+        ls = sum(map(operator.mul, self.l, self.s))
+        return WeylForm(self.ctx, [-x for x in self.s], ls - self.c, [-x for x in self.l])
+
+    def scaled(self, k: int) -> WeylForm:
+        """The operator w^k times this one."""
+        return WeylForm._raw(self.ctx, self.s, (self.c + k) % self.ctx.order, self.l)
+
     def __eq__(self, other):
         if not isinstance(other, WeylForm):
             return NotImplemented
         return (self.s == other.s and self.c == other.c and self.l == other.l
-                and self.ctx == other.ctx)
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __repr__(self) -> str:
         return (

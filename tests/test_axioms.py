@@ -75,11 +75,11 @@ class TestSuite:
         contexts = [
             AlgebraContext(N, n, zeta_exp)
             for N in range(2, 9)
-            for n in range(1, 9)
-            if N**n <= 729
+            for n in range(1, 11)
+            if N**n <= 1024
             for zeta_exp in admissible_zeta_exps(N)
         ]
-        assert len(contexts) == 49
+        assert len(contexts) == 55
         for ctx in contexts:
             reports = run_suite(ctx)
             failed = [(r.name, r.counterexample) for r in reports if not r.passed]
@@ -348,7 +348,7 @@ class TestOneBodyPerCheck:
         assert " vs its normal form on |" in reports["homomorphism"]
 
 
-# The four checks that run_suite decides on the generators' forms.
+# The four checks to which run_suite hands the generators' forms in place of their tables.
 FORM_CHECKS = ("unitarity", "order", "commutation", "power_formula")
 
 
@@ -357,7 +357,7 @@ class TestFormPath:
     def test_power_formula_compares_every_power_up_to_2N(self, m, monkeypatch):
         # A closed form of c_3 that is wrong at m = 2N, or at m = 2N - 1
         # alone, fails on the forms (run_suite, or forms passed) and on the
-        # tables (the check alone), with the same text.
+        # tables (passed, or read by the check alone), with the same text.
         ctx = AlgebraContext(3, 2)
         wrong = 2 * ctx.N - (m == "2N-1")
         original = axioms._closed_powers
@@ -377,7 +377,7 @@ class TestFormPath:
         }[m]
         for report in (
             {r.name: r for r in run_suite(ctx)}["power_formula"],
-            axioms.check_power_formula(ctx, tables, forms),
+            axioms.check_power_formula(ctx, forms),
             axioms.check_power_formula(ctx, tables),
             axioms.check_power_formula(ctx),
         ):
@@ -424,7 +424,8 @@ class TestFormPath:
     @pytest.mark.parametrize("N,n,zeta_exp", SUITE_CONTEXTS + [(2, 3, 1), (2, 3, 3)])
     def test_forms_decide_as_the_tables_do(self, N, n, zeta_exp, monkeypatch):
         # Under every fault whose tables are all forms, each of the four
-        # checks gives the same report on the forms as on the tables.
+        # checks gives the same report, counterexample included, when it is
+        # handed the forms in place of the tables.
         ctx = AlgebraContext(N, n, zeta_exp)
         decided = 0
         for fault in ("none", *faults.FAULTS):
@@ -441,7 +442,7 @@ class TestFormPath:
                 decided += 1
                 for name in FORM_CHECKS:
                     check = getattr(axioms, "check_" + name)
-                    assert check(ctx, tables, forms) == check(ctx, tables), (fault, name)
+                    assert check(ctx, forms) == check(ctx, tables), (fault, name)
         assert decided >= 8
 
     def test_suite_reads_the_forms_once(self, monkeypatch):

@@ -117,6 +117,13 @@ class TestRootRelations:
         assert (ctx.one() + ctx.omega(N)).is_zero()
 
     @pytest.mark.parametrize("N", range(2, 10))
+    def test_omega_defaults_to_w(self, N):
+        # omega() is w = exp(i*pi/N) itself, not q = w^2.
+        ctx = AlgebraContext(N, 1)
+        assert ctx.omega() is ctx.omega(1)
+        assert not ctx.omega() == ctx.q()
+
+    @pytest.mark.parametrize("N", range(2, 10))
     def test_q_has_order_N(self, N):
         ctx = AlgebraContext(N, 1)
         assert ctx.q() ** N == 1

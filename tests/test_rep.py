@@ -486,6 +486,7 @@ class TestWeylForm:
         forms = [WeylForm.of_table(table) for table in tables]
         assert [form.table() for form in forms] == tables
         rng = random.Random(7 * N + n)
+        built = list(zip(forms, tables))
         for _ in range(20):
             word = random_word(rng, ctx, 8)
             form, table = WeylForm.identity(ctx), PhasedPermutation.identity(ctx)
@@ -495,6 +496,14 @@ class TestWeylForm:
             e = rng.randrange(3 * N)
             assert (form ** e).table() == table ** e
             assert WeylForm.of_table(table) == form
+            built.append((form, table))
+        # The operations the table checks use answer as they do on the tables.
+        for form, table in built:
+            assert form.is_bijection()
+            assert form.dagger().table() == table.dagger()
+            assert WeylForm.of_table(table.dagger()) == form.dagger()
+            k = rng.randrange(ctx.order)
+            assert form.scaled(k).table() == table.scaled(k)
 
     def test_generator_forms(self):
         # c_{2k}: shift e_k, phase q^{-(a_1+...+a_{k-1})}; c_{2k-1} adds zeta q^{a_k}.
