@@ -10,31 +10,33 @@ state.  Products, powers and adjoints of tables are integer arithmetic, and
 two operators agree iff their tables are equal; a failing identity names the
 first basis state where the two sides differ.  Counterexamples write exact
 values as ``expr.print_canonical`` does, so ``gcalg eval`` reads each side.
+Every check states its comparisons as a lazy stream of table pairs and
+ready counterexample texts; one driver, ``_check``, runs the stream, stops
+at the first failure and writes the report, so nothing after it is formed.
 Seven checks are table checks (unitarity, order, commutation, the
 ground-state and projector identities, power formula, homomorphism): each
 takes the 2n generator tables as an optional argument (``tables``) and
 reads them off the representation (``rep.generator_tables``) when it is
-omitted;
-``run_suite`` builds them once per call, only when a selected check needs
-them, and passes them to each of those checks.  The tables change no result:
-a generator that is not such a table fails every table check with the
-offending basis state as counterexample.  Each table check only states its
-comparisons, as a lazy stream of table pairs and ready counterexample texts;
-one driver, ``_table_check``, runs the stream, stops at the first failure
-and writes the report, so nothing after it is formed.  The ground-state
-identity compares the tables of c_{2k-1} and zeta c_{2k} at |0..0>; the
-projector identity applies E_k to every basis state and compares them at
-each label E_k keeps.  The homomorphism check keeps a sparse oracle: each
-random word is applied letter by letter to sparse basis states, in lockstep
-(each letter, through ``rep.apply_generator``, acts on the images of all
-basis states before the next letter does), and each image is compared, as a
-map from label to amplitude, with the table of the word's normal form
-(``rep.monomial_table``, the builder ``gcalg matrix`` reads too); the first
-basis state in basis order whose image differs is named, and a table column
-is built only to write that counterexample.  ``normal_order`` counts swaps
-with the rule that element products use, so this check also checks the
-product rule that ``gcalg eval`` multiplies with.  Orthonormality compares
-``rep.gram``, the Gram matrix that ``gcalg gram`` writes, with the identity.
+omitted; ``run_suite`` builds them once per call, only when a selected
+check needs them, and passes them to each of those checks.  The tables
+change no result: a generator that is not such a table fails every table
+check with the offending basis state as counterexample.  The other two,
+the square root of q and orthonormality, read no tables and yield texts
+only.  The ground-state identity compares the tables of c_{2k-1} and
+zeta c_{2k} at |0..0>; the projector identity applies E_k to every basis
+state and compares them at each label E_k keeps.  The homomorphism check
+keeps a sparse oracle: each random word is applied letter by letter to
+sparse basis states, in lockstep (each letter, through
+``rep.apply_generator``, acts on the images of all basis states before the
+next letter does).  The images are read into a table by the reader that
+``rep.generator_tables`` uses, and that table is compared with the table
+of the word's normal form (``rep.monomial_table``, the builder
+``gcalg matrix`` reads too); an image that is not a single root on a basis
+label fails with the reader's text, naming the word and the first such
+basis state.  ``normal_order`` counts swaps with the rule that element
+products use, so this check also checks the product rule that
+``gcalg eval`` multiplies with.  Orthonormality compares ``rep.gram``, the
+Gram matrix that ``gcalg gram`` writes, with the identity.
 
 Four table checks compare whole operators: unitarity, order, commutation
 and the power formula.  For them a generator's Weyl–Heisenberg form
@@ -130,10 +132,6 @@ class CheckReport:
         return out
 
 
-def _differs(what: str, label, lhs: rep.QuditState, rhs: rep.QuditState) -> str:
-    return f"{what} on |{label}>: {print_canonical(lhs)} differs from {print_canonical(rhs)}"
-
-
 def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str | None:
     """None when two operators agree, else both columns at the first basis state that differs.
 
@@ -151,21 +149,23 @@ def _mismatch(ctx: AlgebraContext, lhs, rhs, what: str, positions=None) -> str |
         positions = range(ctx.dim)
     for j in positions:
         if lhs.perm[j] != rhs.perm[j] or lhs.phase[j] != rhs.phase[j]:
-            return _differs(what, rep.basis_label(ctx, j), lhs.column(j), rhs.column(j))
+            left, right = (print_canonical(op.column(j)) for op in (lhs, rhs))
+            return f"{what} on |{rep.basis_label(ctx, j)}>: {left} differs from {right}"
     return None
 
 
-def _table_check(ctx: AlgebraContext, name: str, tables, stream, seed=None) -> CheckReport:
+def _check(ctx: AlgebraContext, name: str, tables, stream, seed=None) -> CheckReport:
     """The report of the first failing item of ``stream(tables)``, or a pass.
 
-    The stream lazily yields comparisons ``(lhs, rhs, what[, positions])``
-    of two operators, which fail as ``_mismatch`` finds them, and
-    counterexample texts, which fail as they stand; nothing after the first
-    failure is formed.  ``tables`` are the 2n generator tables, or for the
-    checks that compare whole operators their forms; when None the tables
-    are read off the representation, and a generator that is not a table
-    fails the check with the first column that is not +-w^k |b> as
-    counterexample.
+    Every check's report comes from here.  The stream lazily yields
+    comparisons ``(lhs, rhs, what[, positions])`` of two operators, which
+    fail as ``_mismatch`` finds them, and counterexample texts, which fail
+    as they stand; nothing after the first failure is formed.  ``tables``
+    are the 2n generator tables, for the checks that compare whole
+    operators their forms, and ``()`` for the checks that read none; when
+    None the tables are read off the representation.  A generator, or a
+    word's lockstep images, that is not a table fails the check with the
+    first column that is not +-w^k |b> as counterexample.
     """
     try:
         items = stream(rep.generator_tables(ctx) if tables is None else tables)
@@ -186,17 +186,19 @@ def _generator_forms(tables):
 def check_zeta_root(N: int, zeta_exp: int | None = None) -> CheckReport:
     """zeta^2 = q and zeta^(N^2) = 1; for odd N the plus root must fail."""
     ctx = AlgebraContext(N, 1, zeta_exp)
-    zeta = ctx.zeta()
-    square, power = zeta * zeta, zeta ** (N * N)
-    detail = None
-    if not square == ctx.q():
-        detail = f"zeta^2 = {print_canonical(square, ctx)} differs from q"
-    elif not power == 1:
-        detail = f"zeta^(N^2) = {print_canonical(power, ctx)} differs from 1"
-    elif N % 2 and not (rejected := ctx.omega(1) ** (N * N)) == -1:
-        text = print_canonical(rejected, ctx)
-        detail = f"rejected root (+exp(i*pi/N)) has N^2-th power {text}, expected -1"
-    return CheckReport(ctx, "zeta_root", detail is None, detail)
+
+    def stream(_):
+        zeta = ctx.zeta()
+        square, power = zeta * zeta, zeta ** (N * N)
+        if not square == ctx.q():
+            yield f"zeta^2 = {print_canonical(square, ctx)} differs from q"
+        if not power == 1:
+            yield f"zeta^(N^2) = {print_canonical(power, ctx)} differs from 1"
+        if N % 2 and not (rejected := ctx.omega(1) ** (N * N)) == -1:
+            text = print_canonical(rejected, ctx)
+            yield f"rejected root (+exp(i*pi/N)) has N^2-th power {text}, expected -1"
+
+    return _check(ctx, "zeta_root", (), stream)
 
 
 def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -213,7 +215,7 @@ def check_unitarity(ctx: AlgebraContext, tables=None) -> CheckReport:
                 yield f"c_{i} does not permute the basis labels"  # dagger() would raise
             yield op ** (ctx.N - 1), op.dagger(), f"c_{i}^(N-1) vs c_{i}^dagger"
 
-    return _table_check(ctx, "unitarity", tables, stream)
+    return _check(ctx, "unitarity", tables, stream)
 
 
 def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -223,7 +225,7 @@ def check_order(ctx: AlgebraContext, tables=None) -> CheckReport:
         for i, op in enumerate(ops, start=1):
             yield op ** ctx.N, identity, f"c_{i}^N vs 1"
 
-    return _table_check(ctx, "order", tables, stream)
+    return _check(ctx, "order", tables, stream)
 
 
 def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -233,7 +235,7 @@ def check_commutation(ctx: AlgebraContext, tables=None) -> CheckReport:
             rhs = (ops[j - 1] @ ops[i - 1]).scaled(2)  # q = w^2
             yield ops[i - 1] @ ops[j - 1], rhs, f"c_{i}c_{j} vs q c_{j}c_{i}"
 
-    return _table_check(ctx, "commutation", tables, stream)
+    return _check(ctx, "commutation", tables, stream)
 
 
 def _zeta_stream(ctx: AlgebraContext, kept, tables):
@@ -246,7 +248,7 @@ def _zeta_stream(ctx: AlgebraContext, kept, tables):
 def check_ground_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
     """c_{2k-1}|0..0> = zeta c_{2k}|0..0> for every k: the tables agree at position 0."""
     stream = functools.partial(_zeta_stream, ctx, [(0,)] * ctx.n)
-    return _table_check(ctx, "ground_identity", tables, stream)
+    return _check(ctx, "ground_identity", tables, stream)
 
 
 def check_projector_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
@@ -264,7 +266,7 @@ def check_projector_identity(ctx: AlgebraContext, tables=None) -> CheckReport:
         for k in range(1, ctx.n + 1)
     )
     stream = functools.partial(_zeta_stream, ctx, kept)
-    return _table_check(ctx, "projector_identity", tables, stream)
+    return _check(ctx, "projector_identity", tables, stream)
 
 
 def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
@@ -273,18 +275,16 @@ def check_orthonormal_basis(ctx: AlgebraContext) -> CheckReport:
     Their Gram matrix ``rep.gram`` must equal the identity, cell by cell
     with the exact ``==``; a cell absent from its row is zero.
     """
-    name = "orthonormal_basis"
-    zero = ctx.zero()
-    for a, row in enumerate(rep.gram(ctx)):
-        for b in sorted({a, *row}):
-            cell, expected = row.get(b, zero), int(a == b)
-            if not cell == expected:
-                return CheckReport(
-                    ctx, name, False,
-                    f"Gram[{rep.basis_label(ctx, a)}][{rep.basis_label(ctx, b)}] = "
-                    f"{print_canonical(cell, ctx)}, expected {expected}",
-                )
-    return CheckReport(ctx, name, True)
+    def stream(_):
+        zero = ctx.zero()
+        for a, row in enumerate(rep.gram(ctx)):
+            for b in sorted({a, *row}):
+                cell, expected = row.get(b, zero), int(a == b)
+                if not cell == expected:
+                    yield (f"Gram[{rep.basis_label(ctx, a)}][{rep.basis_label(ctx, b)}] = "
+                           f"{print_canonical(cell, ctx)}, expected {expected}")
+
+    return _check(ctx, "orthonormal_basis", (), stream)
 
 
 def _closed_powers(ctx: AlgebraContext, k: int):
@@ -317,7 +317,7 @@ def check_power_formula(ctx: AlgebraContext, tables=None) -> CheckReport:
                 yield power, closed, f"c_{2 * k - 1}^{m} vs its closed form"
                 power = step @ power
 
-    return _table_check(ctx, "power_formula", tables, stream)
+    return _check(ctx, "power_formula", tables, stream)
 
 
 def check_homomorphism(
@@ -333,10 +333,9 @@ def check_homomorphism(
     rightmost first, acts on the images of all basis states before the next
     letter does, one ``rep.apply_generator`` call per basis state and letter.
     The normal-form side is the table of ``normal_order(word)``, composed
-    from the generator tables.  Each image is compared with the table's
-    target label and root, and the first basis state whose image differs is
-    named; ``PhasedPermutation.column`` is called only for the
-    counterexample.
+    from the generator tables.  ``rep._read_table`` reads the images into a
+    table, and the stream yields it with the normal form's table, so the
+    driver names the first basis state where they differ.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -347,7 +346,7 @@ def check_homomorphism(
         rng = random.Random(seed)
         top = ctx.num_generators
         labels, basis = zip(*rep.basis_states(ctx))
-        roots = [ctx.omega(k) for k in range(ctx.order)]
+        position = {label: j for j, label in enumerate(labels)}
         power = functools.cache(lambda i, e: tables[i - 1] ** e)
         apply = rep.apply_generator
         for _ in range(trials):
@@ -358,14 +357,11 @@ def check_homomorphism(
             states = basis
             for letter in reversed(word.letters):
                 states = [apply(letter, state) for state in states]
-            # Dict equality runs the exact CycloScalar.__eq__ on every
-            # amplitude that is not the identical shared root.
-            for j, (state, b, f) in enumerate(zip(states, table.perm, table.phase)):
-                if state.terms != {labels[b]: roots[f]}:
-                    what = f"word {list(word.letters)} vs its normal form"
-                    yield _differs(what, labels[j], state, table.column(j))
+            name = f"word {list(word.letters)}"
+            image = rep._read_table(ctx, name, labels, position, states)
+            yield image, table, f"{name} vs its normal form"
 
-    return _table_check(ctx, "homomorphism", tables, stream, seed)
+    return _check(ctx, "homomorphism", tables, stream, seed)
 
 
 ALL_CHECKS = (

@@ -34,7 +34,10 @@ Because every generator sends a basis state to a root of unity times a basis
 state, its whole action also fits in a :class:`PhasedPermutation`: for each
 row-major basis position, a target position and an exponent of
 w = exp(i*pi/N).  ``generator_tables`` reads the 2n tables (or a chosen few)
-off ``apply_generator`` one basis state at a time, and products, powers and
+off ``apply_generator`` one basis state at a time.  Every operator image
+becomes a table through one reader, ``_read_table``, which also reads the
+homomorphism check's lockstep images of a word, and which names the first
+basis state whose image is not +-w^k |b>.  Products, powers and
 adjoints of the tables are then exact integer arithmetic; a product reads
 the left table's entries at the right table's targets with one
 ``operator.itemgetter``.
@@ -222,7 +225,7 @@ def _raise_digit(k: int, state: QuditState, zeta_power: int) -> QuditState:
     return raised
 
 
-def _add_steps(ctx: AlgebraContext, labels: list[BasisIndex], qudits) -> None:
+def _add_steps(ctx: AlgebraContext, labels: tuple[BasisIndex, ...], qudits) -> None:
     # For each qudit k of ``qudits`` that has none yet, the context's step
     # map: each basis label of ``labels`` (all of them, in row-major order)
     # -> (the label of ``labels`` with digit k raised mod N, a_k,
@@ -507,46 +510,57 @@ class WeylForm:
         return PhasedPermutation._raw(ctx, tuple(perm), tuple([f % m for f in phase]))
 
 
+def _read_table(ctx: AlgebraContext, name: str, labels, position, images) -> PhasedPermutation:
+    """The table of the operator ``name`` from its images of the basis states.
+
+    ``images`` yields the image of each of ``labels`` (the basis labels in
+    row-major order), and ``position`` maps each basis label to its
+    position.  Raises NotPhasedPermutationError, naming the first basis
+    state whose image is not a single term +-w^k on a basis label; no image
+    after it is taken.
+    """
+    perm = []
+    phase = []
+    for label, out in zip(labels, images):
+        if len(out.terms) != 1:
+            raise NotPhasedPermutationError(
+                f"{name}|{label}> has {len(out.terms)} terms, expected 1"
+            )
+        (target, amp), = out.terms.items()
+        j = position.get(target)
+        if j is None:
+            raise NotPhasedPermutationError(f"{name}|{label}> lands on {target}, not a basis label")
+        k = amp.root_exponent()
+        if k is None:
+            from .expr import print_canonical  # expr imports rep at module level
+
+            raise NotPhasedPermutationError(
+                f"{name}|{label}> has amplitude {print_canonical(amp, ctx)}, "
+                "expected a root of unity"
+            )
+        perm.append(j)
+        phase.append(k)
+    return PhasedPermutation._raw(ctx, tuple(perm), tuple(phase))
+
+
 def generator_tables(ctx: AlgebraContext, indices=None) -> list[PhasedPermutation | None]:
     """Tables of c_1 .. c_2n, read off by applying ``apply_generator`` to every basis state.
 
     With ``indices``, a set of generator indices, only those tables are
     read and every other entry is None.  The basis states and the label ->
-    position map are built once for all tables.  Raises
-    NotPhasedPermutationError, naming the first basis state of the first
-    generator read whose image is not a single term +-w^k on a basis label.
+    position map are built once for all tables, and ``_read_table`` reads
+    each.  Raises NotPhasedPermutationError, naming the first basis state
+    of the first generator read whose image is not a single term +-w^k on a
+    basis label.
     """
-    states = basis_states(ctx)
-    position = {label: j for j, (label, _) in enumerate(states)}
+    labels, basis = zip(*basis_states(ctx))
+    position = {label: j for j, label in enumerate(labels)}
     tables = [None] * ctx.num_generators
     read = range(1, ctx.num_generators + 1) if indices is None else sorted(indices)
-    _add_steps(ctx, list(position), {(i + 1) // 2 for i in read if 1 <= i <= ctx.num_generators})
+    _add_steps(ctx, labels, {(i + 1) // 2 for i in read if 1 <= i <= ctx.num_generators})
     for i in read:
-        perm = []
-        phase = []
-        for label, state in states:
-            out = apply_generator(i, state)
-            if len(out.terms) != 1:
-                raise NotPhasedPermutationError(
-                    f"c_{i}|{label}> has {len(out.terms)} terms, expected 1"
-                )
-            (target, amp), = out.terms.items()
-            j = position.get(target)
-            if j is None:
-                raise NotPhasedPermutationError(
-                    f"c_{i}|{label}> lands on {target}, not a basis label"
-                )
-            k = amp.root_exponent()
-            if k is None:
-                from .expr import print_canonical  # expr imports rep at module level
-
-                raise NotPhasedPermutationError(
-                    f"c_{i}|{label}> has amplitude {print_canonical(amp, ctx)}, "
-                    "expected a root of unity"
-                )
-            perm.append(j)
-            phase.append(k)
-        tables[i - 1] = PhasedPermutation._raw(ctx, tuple(perm), tuple(phase))
+        images = (apply_generator(i, state) for state in basis)
+        tables[i - 1] = _read_table(ctx, f"c_{i}", labels, position, images)
     return tables
 
 

@@ -335,6 +335,32 @@ class TestOneBodyPerCheck:
         report = check_homomorphism(ctx, seed=seed, tables=tables)
         assert report.counterexample == expected
 
+    def test_homomorphism_reads_each_image_as_a_table(self, monkeypatch):
+        # Every amplitude doubles after the tables are built, so the first
+        # word with a letter has no table: the shared reader names the word
+        # and its first basis state, as it names a generator that has none.
+        ctx = AlgebraContext(3, 2)
+        tables = rep.generator_tables(ctx)
+        faults.inject(monkeypatch, "doubled_raise_digit")
+        report = check_homomorphism(ctx, tables=tables)
+        assert report.counterexample == (
+            "word [4, 1, 3, 4, 4, 3]|(0, 0)> has amplitude 64 * q^2, expected a root of unity"
+        )
+
+    @pytest.mark.parametrize("fault", ["none", "odd_sign_flip", "doubled_even"])
+    def test_every_report_comes_from_the_one_driver(self, fault, monkeypatch):
+        # The driver is the one hook for all nine checks: run_suite calls it
+        # once per check, in suite order, and returns what it made.
+        ctx = AlgebraContext(3, 2)
+        if fault != "none":
+            faults.inject(monkeypatch, fault)
+        made = []
+        original = axioms._check
+        monkeypatch.setattr(axioms, "_check", lambda *args: made.append(original(*args)) or made[-1])
+        reports = run_suite(ctx)
+        assert [r.name for r in made] == list(ALL_CHECKS)
+        assert all(r is m for r, m in zip(reports, made, strict=True))
+
     def test_counterexample_wording(self, monkeypatch):
         ctx = AlgebraContext(3, 2)
         faults.inject(monkeypatch, "odd_sign_flip")
